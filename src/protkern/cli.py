@@ -9,12 +9,7 @@ import sys
 import time
 
 from .engine import EngineConfig, meta_kernelize, sweep, verify_kernel
-from .errors import (
-    EdgeListParseError,
-    EnumerationBudgetExceeded,
-    OracleCapExceeded,
-    TooLargeForExactTreewidth,
-)
+from .errors import EdgeListParseError, OracleCapExceeded, TooLargeForExactTreewidth
 from .graph import generate, parse_edge_list, parse_family, write_edge_list
 from .problems import ProblemInstance, get_problem
 
@@ -176,7 +171,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OracleCapExceeded, TooLargeForExactTreewidth, EnumerationBudgetExceeded) as exc:
+    except (OracleCapExceeded, TooLargeForExactTreewidth) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPS
     except (EdgeListParseError, FileNotFoundError, ValueError) as exc:

@@ -71,14 +71,16 @@ def trivial_instance(spec: ProblemSpec) -> ProblemInstance:
     """Canonical fixed-answer instance: NO for minimization, YES for maximization."""
     if spec.direction == MAX:
         inst = ProblemInstance(Graph.from_edges(1, []), 0, spec)
-        assert decide(inst) is True
+        if decide(inst) is not True:
+            raise AssertionError("the trivial maximization instance must be YES")
         return inst
     if spec.id == "sct":
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     else:
         g = Graph.from_edges(2, [(0, 1)])
     inst = ProblemInstance(g, 0, spec)
-    assert decide(inst) is False
+    if decide(inst) is not False:
+        raise AssertionError("the trivial minimization instance must be NO")
     return inst
 
 

@@ -108,36 +108,6 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines)
 
 
-def parse_dimacs(text: str) -> Graph:
-    """DIMACS reader: 'p edge n m' header, 'e u v' 1-indexed edge lines."""
-    n = None
-    edges = set()
-    for idx, ln in enumerate(text.splitlines(), start=1):
-        parts = ln.split()
-        if not parts or parts[0] == "c":
-            continue
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] not in ("edge", "col"):
-                raise EdgeListParseError(f"line {idx}: bad problem line")
-            n = int(parts[2])
-        elif parts[0] == "e":
-            if n is None:
-                raise EdgeListParseError(f"line {idx}: edge before problem line")
-            if len(parts) != 3:
-                raise EdgeListParseError(f"line {idx}: expected 'e u v'")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            if u == v:
-                raise EdgeListParseError(f"line {idx}: self-loop")
-            if not (0 <= u < n and 0 <= v < n):
-                raise EdgeListParseError(f"line {idx}: endpoint out of range")
-            edges.add(_norm_edge(u, v))
-        else:
-            raise EdgeListParseError(f"line {idx}: unknown record '{parts[0]}'")
-    if n is None:
-        raise EdgeListParseError("missing problem line")
-    return Graph(n, frozenset(edges))
-
-
 # ---------------------------------------------------------------------------
 # deterministic graph families
 
@@ -310,9 +280,9 @@ def induced_subgraph(g: Graph, X) -> tuple[Graph, dict[int, int]]:
     order = sorted(X)
     remap = {v: i for i, v in enumerate(order)}
     edges = [
-        (remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap
+        (i, remap[w]) for i, u in enumerate(order) for w in g.adj[u] if w > u and w in remap
     ]
-    return Graph.from_edges(len(order), edges), remap
+    return Graph(len(order), frozenset(edges)), remap
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

@@ -358,8 +358,8 @@ def vc_signature(b: BoundariedGraph) -> Signature:
             table[key] = INF
         else:
             table[key] = int(z - offset)
-    if offset is not None:
-        assert offset == brute_opt(get_problem("vc"), g)
+    if offset is not None and offset != brute_opt(get_problem("vc"), g):
+        raise AssertionError("vc signature offset differs from brute_opt")
     return Signature(b.label_set, offset, table)
 
 
@@ -390,9 +390,8 @@ def ds_signature(b: BoundariedGraph) -> Signature:
             table[states] = INF
         else:
             table[states] = int(z - offset)
-    if offset is not None:
-        relaxed = _min_dominating(g, interior_mask, (1 << g.n) - 1, 0)
-        assert offset == relaxed
+    if offset is not None and offset != _min_dominating(g, interior_mask, (1 << g.n) - 1, 0):
+        raise AssertionError("ds signature offset differs from the relaxed optimum")
     return Signature(b.label_set, offset, table)
 
 
@@ -506,7 +505,8 @@ def cycle_packing_signature(b: BoundariedGraph) -> Signature:
             table[key] = -INF
         else:
             table[key] = int(z - offset)
-    assert offset == brute_opt(get_problem("cyclepacking"), g)
+    if offset != brute_opt(get_problem("cyclepacking"), g):
+        raise AssertionError("cyclepacking signature offset differs from brute_opt")
     return Signature(b.label_set, offset, table)
 
 
@@ -542,7 +542,8 @@ def scattered_signature(b: BoundariedGraph, r: int, t: int | None = None) -> Sig
             table[sigma] = -INF
         else:
             table[sigma] = int(z - offset)
-    assert offset == brute_opt(get_problem("scattered", r=r), g)
+    if offset != brute_opt(get_problem("scattered", r=r), g):
+        raise AssertionError("scattered signature offset differs from brute_opt")
     return Signature(b.label_set, offset, table, ell=ell)
 
 
@@ -599,8 +600,8 @@ def sct_signature(b: BoundariedGraph, s: int, t: int | None = None) -> Signature
             table[f] = INF
         else:
             table[f] = int(z - offset)
-    if offset is not None:
-        assert offset == brute_opt(get_problem("sct", s=s), g)
+    if offset is not None and offset != brute_opt(get_problem("sct", s=s), g):
+        raise AssertionError("sct signature offset differs from brute_opt")
     return Signature(b.label_set, offset, table)
 
 

@@ -170,5 +170,6 @@ def apply_replacement(
         if v in sr.to_r
     }
     out = ProblemInstance(glued.graph, inst.k + c, inst.spec)
-    assert out.graph.n < inst.graph.n
+    if out.graph.n >= inst.graph.n:
+        raise AssertionError("replacement did not shrink the graph")
     return ApplyResult(out, heir)

@@ -150,35 +150,106 @@ def _validate_nice(td: NiceTreeDecomposition, ch: list[list[int]]) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # exact treewidth decision
+#
+# Vertex sets are bitmasks, and masks[v] is v's neighbourhood in the fill
+# graph.  Eliminations record (vertex, bag mask) pairs for _assemble.
 
 
-def _degeneracy(adj: dict[int, set[int]]) -> int:
-    adj = {v: set(ns) for v, ns in adj.items()}
-    best = 0
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        best = max(best, len(adj[v]))
-        for w in adj[v]:
-            adj[w].discard(v)
-        del adj[v]
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _eliminate(masks: list[int], v: int) -> int:
+    """Make N(v) a clique and detach v, in place; returns N(v)."""
+    nb = m = masks[v]
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        masks[u] = (masks[u] | nb) & ~(low | 1 << v)
+    return nb
+
+
+def _eliminate_low_degree(masks: list[int], t: int, order: list[int], bags: list[int]):
+    """Eliminate down to t + 1 vertices (t <= 2) and return their mask, or None.
+
+    Eliminating a vertex of degree <= 2 leaves a minor, so no choice is ever
+    undone.  The choice is the branch and bound's first: the lowest-id
+    simplicial vertex of degree <= t, else the lowest-id one of degree <= t.
+    Only the vertices an elimination touches are reclassified.
+    """
+    alive = dirty = (1 << len(masks)) - 1
+    low = simp = 0  # vertices of degree <= t, and the simplicial ones among them
+    while True:
+        while dirty:
+            bit = dirty & -dirty
+            dirty ^= bit
+            nb = masks[bit.bit_length() - 1]
+            d = nb.bit_count()
+            low = low | bit if d <= t else low & ~bit
+            # degree 2 is simplicial iff the two neighbours are adjacent
+            if d <= t and (d < 2 or masks[(nb & -nb).bit_length() - 1] & nb):
+                simp |= bit
+            else:
+                simp &= ~bit
+        if alive.bit_count() <= t + 1:
+            return alive
+        pick = simp or low
+        if not pick:
+            return None
+        bit = pick & -pick
+        v = bit.bit_length() - 1
+        nb = _eliminate(masks, v)
+        order.append(v)
+        bags.append(nb | bit)
+        alive ^= bit
+        low, simp, dirty = low & ~bit, simp & ~bit, nb
+        if nb & (nb - 1):  # the fill edge may make common neighbours simplicial
+            dirty |= masks[(nb & -nb).bit_length() - 1] & masks[nb.bit_length() - 1]
+
+
+def _degeneracy(masks) -> int:
+    alive, best = (1 << len(masks)) - 1, 0
+    while alive:
+        v = min(_bits(alive), key=lambda u: masks[u].bit_count())
+        best = max(best, masks[v].bit_count())
+        alive &= ~(1 << v)
+        masks = [m & ~(1 << v) for m in masks]
     return best
 
 
-def _eliminate(adj: dict[int, set[int]], v: int) -> dict[int, set[int]]:
-    nbrs = adj[v]
-    out = {u: set(ns) for u, ns in adj.items() if u != v}
-    for u in nbrs:
-        out[u].discard(v)
-        out[u] |= nbrs - {u}
-        out[u].discard(u)
-    return out
+def _branch_and_bound(masks, alive: int, t: int, failed: set[int], order, bags):
+    """_eliminate_low_degree for any t, by search over elimination orders,
+    memoized on the remaining set (its fill graph does not depend on the order)."""
+    if alive.bit_count() <= t + 1:
+        return alive
+    if alive in failed:
+        return None
+    cands = [v for v in _bits(alive) if masks[v].bit_count() <= t]
+    # eliminating a simplicial vertex of degree <= t is always safe
+    safe = [v for v in cands if all(masks[v] & ~masks[u] == 1 << u for u in _bits(masks[v]))]
+    for v in safe[:1] or sorted(cands, key=lambda v: masks[v].bit_count()):
+        child = list(masks)
+        order.append(v)
+        bags.append(_eliminate(child, v) | 1 << v)
+        rest = _branch_and_bound(child, alive & ~(1 << v), t, failed, order, bags)
+        if rest is not None:
+            return rest
+        order.pop()
+        bags.pop()
+    failed.add(alive)
+    return None
 
 
 def decide_tw_leq(g: Graph, t: int, vertex_cap: int = EXACT_TW_VERTEX_CAP):
     """Width-<=t decomposition of g, or None if tw(g) > t.
 
-    Branch and bound over elimination orders, memoized on the eliminated set
-    (the fill graph depends only on the set, not the order).
+    Tries the elimination of vertices of degree <= min(t, 2) first; a width-2
+    certificate also serves every t > 2.  Only when that fails for t > 2 does
+    a branch and bound search the elimination orders.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -186,71 +257,32 @@ def decide_tw_leq(g: Graph, t: int, vertex_cap: int = EXACT_TW_VERTEX_CAP):
         raise TooLargeForExactTreewidth(
             f"{g.n} vertices exceed the exact-treewidth cap of {vertex_cap}"
         )
-    if g.n == 0:
-        return TreeDecomposition(g, (None,), (frozenset(),))
-    adj0 = {v: set(g.adj[v]) for v in range(g.n)}
-    if _degeneracy(adj0) > t:
+    order, bags = [], []
+    rest = _eliminate_low_degree(list(g.adj_masks), min(t, 2), order, bags)
+    if rest is None and t > 2 and _degeneracy(g.adj_masks) <= t:
+        order, bags = [], []
+        rest = _branch_and_bound(g.adj_masks, (1 << g.n) - 1, t, set(), order, bags)
+    if rest is None:
         return None
-
-    failed: set[frozenset[int]] = set()
-
-    def search(adj: dict[int, set[int]], order: list[int]) -> bool:
-        if len(adj) <= t + 1:
-            return True
-        key = frozenset(adj)
-        if key in failed:
-            return False
-        cands = [v for v in adj if len(adj[v]) <= t]
-        # eliminating a simplicial vertex of degree <= t is always safe
-        for v in cands:
-            ns = adj[v]
-            if all(w in adj[u] for u in ns for w in ns if u < w):
-                order.append(v)
-                if search(_eliminate(adj, v), order):
-                    return True
-                order.pop()
-                failed.add(key)
-                return False
-        cands.sort(key=lambda v: (len(adj[v]), v))
-        for v in cands:
-            order.append(v)
-            if search(_eliminate(adj, v), order):
-                return True
-            order.pop()
-        failed.add(key)
-        return False
-
-    order: list[int] = []
-    if not search(adj0, order):
-        return None
-    return _decomposition_from_order(g, order)
+    return _assemble(g, order, bags, rest)
 
 
-def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Bags from the elimination fill graph; the residual clique becomes the root."""
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    bags = []
-    elim_bags: dict[int, int] = {}
-    elim_index: dict[int, int] = {}
+def _assemble(g: Graph, order: list[int], bags: list[int], rest: int) -> TreeDecomposition:
+    """Node i holds the bag of order[i] and hangs below the node of the bag's
+    first vertex eliminated after order[i]; the vertices `rest` left at the
+    end form the root bag, node len(order)."""
+    root = len(order)
+    index = [root] * g.n
     for i, v in enumerate(order):
-        bags.append(frozenset(adj[v] | {v}))
-        elim_bags[v] = len(bags) - 1
-        elim_index[v] = i
-        adj = _eliminate(adj, v)
-    root_bag = frozenset(adj)
-    bags.append(root_bag)
-    root = len(bags) - 1
-    parent: list = [None] * len(bags)
-    for v in order:
-        node = elim_bags[v]
-        later = [w for w in bags[node] if w != v and w in elim_index]
-        if later:
-            w = min(later, key=lambda u: elim_index[u])
-            parent[node] = elim_bags[w]
-        else:
-            parent[node] = root
-    parent[root] = None
-    return TreeDecomposition(g, tuple(parent), tuple(bags))
+        index[v] = i
+    parent = [
+        min((index[w] for w in _bits(bag & ~(1 << v))), default=root)
+        for v, bag in zip(order, bags)
+    ]
+    # tuples built from lists of known length: tuple(generator) resizes its
+    # result, which grows the interpreter's per-size tuple free lists
+    nodes = [frozenset(_bits(bag)) for bag in bags + [rest]]
+    return TreeDecomposition(g, (*parent, None), tuple(nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from protkern.graph import (
     distances_from,
     generate,
     induced_subgraph,
-    parse_dimacs,
     parse_edge_list,
     parse_family,
     write_edge_list,
@@ -75,14 +74,6 @@ class TestEdgeListFormat:
     def test_out_of_range_endpoint(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
             parse_edge_list("2 1\n0 5")
-
-    def test_dimacs(self):
-        g = parse_dimacs("c comment\np edge 3 2\ne 1 2\ne 2 3")
-        assert g.n == 3 and g.edges == frozenset({(0, 1), (1, 2)})
-
-    def test_dimacs_edge_before_header(self):
-        with pytest.raises(EdgeListParseError):
-            parse_dimacs("e 1 2\np edge 3 1")
 
 
 class TestFamilies:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -38,14 +39,119 @@ def brute_treewidth(g: Graph) -> int:
     return best
 
 
-def small_graph(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def _ref_degeneracy(adj: dict[int, set[int]]) -> int:
+    adj = {v: set(ns) for v, ns in adj.items()}
+    best = 0
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        best = max(best, len(adj[v]))
+        for w in adj[v]:
+            adj[w].discard(v)
+        del adj[v]
+    return best
+
+
+def _ref_eliminate(adj: dict[int, set[int]], v: int) -> dict[int, set[int]]:
+    nbrs = adj[v]
+    out = {u: set(ns) for u, ns in adj.items() if u != v}
+    for u in nbrs:
+        out[u].discard(v)
+        out[u] |= nbrs - {u}
+        out[u].discard(u)
+    return out
+
+
+def reference_decide(g: Graph, t: int):
+    """Dict-based branch and bound over elimination orders, with its certificate.
+
+    The engine's decide_tw_leq must match it exactly for t <= 2 and in its
+    decision for every t.
+    """
+    if g.n == 0:
+        return TreeDecomposition(g, (None,), (frozenset(),))
+    adj0 = {v: set(g.adj[v]) for v in range(g.n)}
+    if _ref_degeneracy(adj0) > t:
+        return None
+    failed: set[frozenset[int]] = set()
+
+    def search(adj: dict[int, set[int]], order: list[int]) -> bool:
+        if len(adj) <= t + 1:
+            return True
+        key = frozenset(adj)
+        if key in failed:
+            return False
+        cands = [v for v in adj if len(adj[v]) <= t]
+        for v in cands:
+            ns = adj[v]
+            if all(w in adj[u] for u in ns for w in ns if u < w):
+                order.append(v)
+                if search(_ref_eliminate(adj, v), order):
+                    return True
+                order.pop()
+                failed.add(key)
+                return False
+        cands.sort(key=lambda v: (len(adj[v]), v))
+        for v in cands:
+            order.append(v)
+            if search(_ref_eliminate(adj, v), order):
+                return True
+            order.pop()
+        failed.add(key)
+        return False
+
+    order: list[int] = []
+    if not search(adj0, order):
+        return None
+    # bags from the elimination fill graph; the residual vertices form the root
+    adj = adj0
+    bags = []
+    elim_bags: dict[int, int] = {}
+    elim_index: dict[int, int] = {}
+    for i, v in enumerate(order):
+        bags.append(frozenset(adj[v] | {v}))
+        elim_bags[v] = len(bags) - 1
+        elim_index[v] = i
+        adj = _ref_eliminate(adj, v)
+    bags.append(frozenset(adj))
+    root = len(bags) - 1
+    parent: list = [None] * len(bags)
+    for v in order:
+        node = elim_bags[v]
+        later = [w for w in bags[node] if w != v and w in elim_index]
+        if later:
+            parent[node] = elim_bags[min(later, key=lambda u: elim_index[u])]
+        else:
+            parent[node] = root
+    return TreeDecomposition(g, tuple(parent), tuple(bags))
+
+
+def assert_matches_reference(g: Graph, t: int):
+    td, ref = decide_tw_leq(g, t), reference_decide(g, t)
+    assert (td is None) == (ref is None)
+    if t <= 2 and td is not None:
+        assert (td.parent, td.bags) == (ref.parent, ref.bags)
+
+
+def shuffled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def random_tree(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def small_graph(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph.from_edges(n, edges)
 
 
 small_graphs = st.composite(small_graph)()
+graphs_to_10 = st.composite(small_graph)(max_n=10)
 
 
 class TestDecideTreewidth:
@@ -84,9 +190,39 @@ class TestDecideTreewidth:
     @given(small_graphs)
     def test_matches_brute_force(self, g):
         tw = brute_treewidth(g)
-        assert decide_tw_leq(g, tw) is not None
-        if tw > 0:
-            assert decide_tw_leq(g, tw - 1) is None
+        for t in range(4):
+            td = decide_tw_leq(g, t)
+            assert (td is not None) == (tw <= t)
+            if td is not None:
+                assert validate(td) == []
+                assert width(td) <= t
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_to_10, st.integers(min_value=0, max_value=3))
+    def test_matches_reference(self, g, t):
+        assert_matches_reference(g, t)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 32])
+    def test_matches_reference_on_shuffled_trees(self, n, seed):
+        for t in range(4):
+            assert_matches_reference(random_tree(n, seed), t)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "family", ["grid:2,3", "grid:2,10", "grid:2,16", "cycle:3", "cycle:12", "cycle:32"]
+    )
+    def test_matches_reference_on_ladders_and_cycles(self, family, seed):
+        g = shuffled(generate(parse_family(family)), seed)
+        for t in range(4):
+            assert_matches_reference(g, t)
+
+    def test_matches_reference_when_fill_makes_a_non_neighbour_simplicial(self):
+        # eliminating 1 joins 0 and 3, which makes their common neighbour 5
+        # simplicial, so 5 goes before the lower-id vertex 2
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 3), (2, 4), (3, 4), (3, 5)])
+        assert_matches_reference(g, 2)
+        assert decide_tw_leq(g, 2).bags[1] == frozenset({0, 3, 5})
 
     @settings(max_examples=50, deadline=None)
     @given(small_graphs)
