@@ -104,6 +104,21 @@ class TestDriverLoop:
         assert out.graph.n <= 3
         assert any("preprocessing" in w for w in log.warnings)
 
+    @pytest.mark.parametrize("k,answer", [(9, True), (8, False)])
+    def test_width_two_cut_sets_of_three_vertices(self, k, answer):
+        # the 3 x 6 grid has no cut of two vertices, so the first protrusion
+        # comes from a three-vertex R whose components are decided at t = 3;
+        # vc(3 x 6 grid) = 9, and the kernel is pinned
+        g = generate(parse_family("grid:3,6"))
+        out, log = meta_kernelize(ProblemInstance(g, k, VC), cfg(t=2, size_threshold=12))
+        assert log.steps[0]["R"] == [0, 1, 2]
+        assert (out.graph.n, out.k) == (10, k - 4)
+        assert sorted(out.graph.edges) == [
+            (0, 3), (0, 7), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5),
+            (2, 7), (4, 6), (5, 6), (5, 8), (6, 9), (7, 8), (8, 9),
+        ]
+        assert decide(out) is answer
+
     @pytest.mark.parametrize("pid", ["vc", "ds", "is", "cyclepacking"])
     def test_decision_agreement_over_k_range(self, pid):
         spec = get_problem(pid)
