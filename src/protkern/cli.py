@@ -39,7 +39,6 @@ def _config(args):
         size_threshold=args.size_threshold,
         enum_budget=args.budget,
         cache_path=args.cache,
-        seed=args.seed,
     )
 
 
@@ -86,7 +85,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _spec(args)
     k_values = [int(x) for x in args.k_list.split(",") if x.strip()]
-    rows = sweep(spec, args.family, k_values, _config(args))
+    rows = sweep(spec, args.family, k_values, _config(args), seed=args.seed)
     fields = ["k", "n_original", "n_kernel", "steps", "wall_ms"]
     if args.report:
         with open(args.report, "w", newline="", encoding="utf-8") as fh:

@@ -6,17 +6,9 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .boundaried import boundary_of, canonical_code, split
+from .boundaried import canonical_code, split
 from .errors import CanonizationCapExceeded, OracleCapExceeded
-from .graph import (
-    Graph,
-    articulation_points,
-    connected_components,
-    distances_from,
-    generate,
-    induced_subgraph,
-    parse_family,
-)
+from .graph import Graph, articulation_points, distances_from, generate, parse_family
 from .problems import (
     MAX,
     MIN,
@@ -28,9 +20,8 @@ from .problems import (
     has_signature,
     sct_preprocess,
 )
-from .protrusion import Protrusion, compute_xr, split_protrusion
+from .protrusion import compute_xr, split_protrusion, xr_protrusion
 from .replace import BUDGET, FOUND, FOUND_CACHE, RepCache, apply_replacement, find_replacement
-from .treewidth import TreeDecomposition, decide_tw_leq
 
 EXHAUSTIVE_SCAN_LIMIT = 64  # above this, candidate cut sets are heuristic
 DEFAULT_ENUM_BUDGET = 20000
@@ -44,7 +35,6 @@ class EngineConfig:
     size_threshold: int | None = None  # defaults to 4*split_c + 2*(2t+1)
     enum_budget: int = DEFAULT_ENUM_BUDGET
     cache_path: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.t < 1:
@@ -106,33 +96,6 @@ def _candidate_sets(g: Graph, r_search: int, split_c: int):
                     yield (a, b)
 
 
-def _protrusion_from_xr(g: Graph, R: frozenset[int], X: frozenset[int]) -> Protrusion | None:
-    """Witness of width <= 2|R| for X: component decompositions with R in every bag."""
-    sub, vmap = induced_subgraph(g, X)
-    back = sorted(X)
-    r_local = {vmap[v] for v in R}
-    rest = set(range(sub.n)) - r_local
-    bags: list[frozenset[int]] = [frozenset(r_local)]
-    parent: list = [None]
-    if rest:
-        rest_sub, rest_map = induced_subgraph(sub, rest)
-        rest_back = sorted(rest)
-        for comp in connected_components(rest_sub):
-            comp_local = frozenset(rest_back[v] for v in comp)
-            csub, cmap = induced_subgraph(sub, comp_local)
-            td = decide_tw_leq(csub, len(R))
-            if td is None:
-                return None
-            cback = sorted(comp_local)
-            offset = len(bags)
-            for i, bag in enumerate(td.bags):
-                bags.append(frozenset(cback[v] for v in bag) | frozenset(r_local))
-                p = td.parent[i]
-                parent.append(offset + p if p is not None else 0)
-    witness = TreeDecomposition(sub, tuple(parent), tuple(bags))
-    return Protrusion(X, boundary_of(g, X), 2 * len(R), witness, vmap)
-
-
 # ---------------------------------------------------------------------------
 # the driver loop
 
@@ -174,9 +137,7 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
                     log.warnings.append(w)
             if len(xr.X) < cfg.size_threshold:
                 continue
-            p = _protrusion_from_xr(inst.graph, Rset, xr.X)
-            if p is None:
-                continue
+            p = xr_protrusion(inst.graph, Rset, xr)
             if len(p.X) > 2 * cfg.split_c:
                 try:
                     y = split_protrusion(inst.graph, p, cfg.split_c)
@@ -247,11 +208,11 @@ def verify_kernel(original: ProblemInstance, kernel: ProblemInstance) -> dict:
     return report
 
 
-def sweep(spec: ProblemSpec, family_template: str, k_values, cfg: EngineConfig):
+def sweep(spec: ProblemSpec, family_template: str, k_values, cfg: EngineConfig, seed: int = 0):
     """One kernelization per k; the family template may mention {k}."""
     rows = []
     for k in k_values:
-        fam = parse_family(family_template.format(k=k), seed=cfg.seed)
+        fam = parse_family(family_template.format(k=k), seed=seed)
         g = generate(fam)
         inst = ProblemInstance(g, k, spec)
         start = time.monotonic()

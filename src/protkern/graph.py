@@ -285,23 +285,26 @@ def induced_subgraph(g: Graph, X) -> tuple[Graph, dict[int, int]]:
     return Graph(len(order), frozenset(edges)), remap
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
+def connected_components(g: Graph, without=()) -> list[list[int]]:
+    """Vertex lists of the components of G - without, in least-vertex order.
+
+    The search masks `without` instead of building G - without.
+    """
     seen = [False] * g.n
+    for v in without:
+        seen[v] = True
     comps = []
     for s in range(g.n):
         if seen[s]:
             continue
-        comp = {s}
         seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
+        comp = [s]
+        for u in comp:
             for w in g.adj[u]:
                 if not seen[w]:
                     seen[w] = True
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
+                    comp.append(w)
+        comps.append(comp)
     return comps
 
 

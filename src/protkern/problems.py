@@ -324,7 +324,8 @@ def vc_signature(b: BoundariedGraph) -> Signature:
     _check_cap(get_problem("vc"), g)
     labels = sorted(b.labels)
     bverts = _boundary_in_label_order(b)
-    interior = b.interior()
+    masks = g.adj_masks
+    interior = sum(1 << v for v in b.interior())
     table = {}
     raw = {}
     for picks in itertools.chain.from_iterable(
@@ -332,23 +333,16 @@ def vc_signature(b: BoundariedGraph) -> Signature:
         for sz in range(len(labels) + 1)
     ):
         T = frozenset(picks)
-        in_cover = {bverts[i] for i in T}
-        out = set(bverts) - in_cover
-        if any(u in out and v in out for u, v in g.edges):
+        # B - T stays out of the cover, so its neighbours go in; the rest of
+        # the interior takes a minimum cover, the complement of an MIS
+        out = [bverts[i] for i in range(len(labels)) if i not in T]
+        nbrs = 0
+        for v in out:
+            nbrs |= masks[v]
+        if any(nbrs >> v & 1 for v in out):
             raw[T] = INF
             continue
-        best = INF
-        for size in range(len(interior) + 1):
-            if len(in_cover) + size >= best:
-                break
-            for pick in itertools.combinations(interior, size):
-                S = in_cover | set(pick)
-                if all(u in S or v in S for u, v in g.edges):
-                    best = len(in_cover) + size
-                    break
-            if best < INF:
-                break
-        raw[T] = best
+        raw[T] = g.n - len(out) - _max_independent(g.n, masks, interior & ~nbrs)
     finite = [v for v in raw.values() if v < INF]
     offset = min(finite) if finite else None
     cap = len(labels)

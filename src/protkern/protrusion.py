@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, connected_components, induced_subgraph
 from .treewidth import (
@@ -12,7 +12,6 @@ from .treewidth import (
     TreeDecomposition,
     decide_tw_leq,
     make_nice,
-    width,
 )
 from .boundaried import boundary_of
 
@@ -21,15 +20,14 @@ from .boundaried import boundary_of
 class Protrusion:
     """Vertex set X with small boundary and a small-width witness for G[X].
 
-    The witness decomposition lives on the induced subgraph of X; vmap sends
-    host vertex ids into witness ids.
+    The witness decomposition lives on induced_subgraph(g, X), whose vertex i
+    is the i-th smallest vertex of X.
     """
 
     X: frozenset[int]
     boundary: frozenset[int]
     t: int
     witness: TreeDecomposition
-    vmap: dict[int, int] = field(compare=False, default_factory=dict)
 
 
 def is_protrusion(g: Graph, X, t: int, vertex_cap: int = EXACT_TW_VERTEX_CAP):
@@ -38,17 +36,20 @@ def is_protrusion(g: Graph, X, t: int, vertex_cap: int = EXACT_TW_VERTEX_CAP):
     bd = boundary_of(g, X)
     if len(bd) > t:
         return None
-    sub, vmap = induced_subgraph(g, X)
+    sub, _ = induced_subgraph(g, X)
     td = decide_tw_leq(sub, t, vertex_cap=vertex_cap)
     if td is None:
         return None
-    return Protrusion(X, bd, t, td, vmap)
+    return Protrusion(X, bd, t, td)
 
 
 @dataclass
 class XRResult:
     X: frozenset[int]
     warnings: list[str]
+    # accepted components of G-R in least-vertex order, each with a witness
+    # of width <= |R| on induced_subgraph(g, component)
+    components: list[tuple[list[int], TreeDecomposition]]
 
 
 def compute_xr(g: Graph, R, vertex_cap: int = EXACT_TW_VERTEX_CAP) -> XRResult:
@@ -61,41 +62,45 @@ def compute_xr(g: Graph, R, vertex_cap: int = EXACT_TW_VERTEX_CAP) -> XRResult:
     for v in R:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    seen = [v in R for v in range(g.n)]
     out = set(R)
     warnings = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        for u in comp:  # search g.adj with R masked: G-R is never copied
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
+    components = []
+    for comp in connected_components(g, R):
         if len(comp) > vertex_cap:
             warnings.append(
                 f"component of size {len(comp)} skipped: too large for exact treewidth"
             )
             continue
         sub, _ = induced_subgraph(g, comp)
-        if decide_tw_leq(sub, len(R), vertex_cap=vertex_cap) is not None:
+        td = decide_tw_leq(sub, len(R), vertex_cap=vertex_cap)
+        if td is not None:
             out.update(comp)
-    return XRResult(frozenset(out), warnings)
+            components.append((comp, td))
+    return XRResult(frozenset(out), warnings, components)
+
+
+def xr_protrusion(g: Graph, R, xr: XRResult) -> Protrusion:
+    """X_R as a protrusion: its component witnesses with R in every bag.
+
+    The root bag is R; each component's decomposition hangs below it, so the
+    witness has width at most 2|R|.
+    """
+    sub, rank = induced_subgraph(g, xr.X)
+    r_local = frozenset(rank[v] for v in R)
+    bags: list[frozenset[int]] = [r_local]
+    parent: list = [None]
+    for comp, td in xr.components:
+        back = sorted(comp)
+        offset = len(bags)
+        for bag, p in zip(td.bags, td.parent):
+            bags.append(frozenset(rank[back[v]] for v in bag) | r_local)
+            parent.append(0 if p is None else offset + p)
+    witness = TreeDecomposition(sub, tuple(parent), tuple(bags))
+    return Protrusion(xr.X, boundary_of(g, xr.X), 2 * len(R), witness)
 
 
 # ---------------------------------------------------------------------------
 # splitting an oversized protrusion (small-window extraction)
-
-
-def _nice_local(g: Graph, p: Protrusion) -> tuple[NiceTreeDecomposition, list[int]]:
-    """Nice decomposition of G[X] in local ids, plus local->host translation."""
-    nice = make_nice(p.witness)
-    back = [0] * len(p.vmap)
-    for host, local in p.vmap.items():
-        back[local] = host
-    return nice, back
 
 
 def split_protrusion(g: Graph, p: Protrusion, c: int) -> Protrusion:
@@ -111,10 +116,11 @@ def split_protrusion(g: Graph, p: Protrusion, c: int) -> Protrusion:
         raise ValueError("protrusion is not larger than c")
     t_out = 2 * p.t + 1
     if len(p.X) <= 2 * c:
-        return Protrusion(p.X, p.boundary, t_out, p.witness, dict(p.vmap))
+        return Protrusion(p.X, p.boundary, t_out, p.witness)
 
-    nice, back = _nice_local(g, p)
-    bd_local = frozenset(p.vmap[v] for v in p.boundary)
+    nice = make_nice(p.witness)
+    back = sorted(p.X)
+    bd_local = frozenset(i for i, v in enumerate(back) if v in p.boundary)
     ch = nice.children()
     root = nice.root
     # post-order subtree vertex sets and depths
@@ -151,18 +157,18 @@ def split_protrusion(g: Graph, p: Protrusion, c: int) -> Protrusion:
         sub_nodes.append(u)
         stack.extend(ch[u])
     y_host = frozenset(back[v] for v in y_local)
-    sub, vmap_y = induced_subgraph(g, y_host)
+    sub, rank = induced_subgraph(g, y_host)
     node_pos = {u: i for i, u in enumerate(sub_nodes)}
     bags = []
     parent: list = []
     for u in sub_nodes:
         bag = frozenset(
-            vmap_y[back[v]] for v in (set(nice.bags[u]) | set(bd_local))
+            rank[back[v]] for v in (set(nice.bags[u]) | set(bd_local))
         )
         bags.append(bag)
         parent.append(node_pos[nice.parent[u]] if u != b else None)
     witness = TreeDecomposition(sub, tuple(parent), tuple(bags))
-    return Protrusion(y_host, boundary_of(g, y_host), t_out, witness, vmap_y)
+    return Protrusion(y_host, boundary_of(g, y_host), t_out, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +182,9 @@ class PartitionResult:
 
 
 def _single_bag_protrusion(g: Graph, Q: frozenset[int], t_out: int) -> Protrusion:
-    sub, vmap = induced_subgraph(g, Q)
+    sub, _ = induced_subgraph(g, Q)
     td = TreeDecomposition(sub, (None,), (frozenset(range(sub.n)),))
-    return Protrusion(Q, boundary_of(g, Q), t_out, td, vmap)
+    return Protrusion(Q, boundary_of(g, Q), t_out, td)
 
 
 def _restricted_protrusion(
@@ -190,13 +196,13 @@ def _restricted_protrusion(
     t_out: int,
 ) -> Protrusion:
     """Protrusion with witness = the component decomposition restricted to Q."""
-    sub, vmap = induced_subgraph(g, Q)
+    sub, rank = induced_subgraph(g, Q)
     bags = []
     for bag in nice.bags:
-        host = {back[v] for v in bag} | {back_v for back_v in extra}
-        bags.append(frozenset(vmap[v] for v in host if v in vmap))
+        host = {back[v] for v in bag} | extra
+        bags.append(frozenset(rank[v] for v in host if v in rank))
     td = TreeDecomposition(sub, nice.parent, tuple(bags))
-    return Protrusion(Q, boundary_of(g, Q), t_out, td, vmap)
+    return Protrusion(Q, boundary_of(g, Q), t_out, td)
 
 
 def partition_protrusion(
@@ -215,32 +221,25 @@ def partition_protrusion(
     t_out = 4 * p.t + 2
     warnings: list[str] = []
     if not Z:
-        return PartitionResult(
-            [Protrusion(p.X, p.boundary, t_out, p.witness, dict(p.vmap))], warnings
-        )
+        return PartitionResult([Protrusion(p.X, p.boundary, t_out, p.witness)], warnings)
 
-    sub_x, vmap_x = induced_subgraph(g, p.X)
-    back_x = sorted(p.X)
+    everything = frozenset(range(g.n))
     parts: list[Protrusion] = []
     covered: set[int] = set()
-    for comp_local in connected_components(sub_x):
-        comp_host = frozenset(back_x[v] for v in comp_local)
+    for comp in connected_components(g, everything - p.X):
+        comp_host = frozenset(comp)
         pc = is_protrusion(g, comp_host, p.t, vertex_cap=vertex_cap)
         if pc is None:
             raise AssertionError("component of a protrusion must itself qualify")
         if not Z & comp_host:
-            parts.append(
-                Protrusion(comp_host, pc.boundary, t_out, pc.witness, dict(pc.vmap))
-            )
+            parts.append(Protrusion(comp_host, pc.boundary, t_out, pc.witness))
             covered |= comp_host
             continue
         nice = make_nice(pc.witness)
-        back = [0] * len(pc.vmap)
-        for host, local in pc.vmap.items():
-            back[local] = host
+        back = sorted(comp_host)
         bd_host = frozenset(p.boundary)
 
-        marked = _mark_nodes(nice, {pc.vmap[z] for z in Z & comp_host})
+        marked = _mark_nodes(nice, {i for i, v in enumerate(back) if v in Z})
         marked_bag_hosts = set()
         for u in marked:
             marked_bag_hosts |= {back[v] for v in nice.bags[u]}
@@ -249,20 +248,17 @@ def partition_protrusion(
         # components of the unmarked remainder, grouped by touched marked bags
         remainder = comp_host - marked_bag_hosts
         groups: dict[frozenset[int], set[int]] = {}
-        if remainder:
-            rem_sub, rem_map = induced_subgraph(g, remainder)
-            rem_back = sorted(remainder)
-            for cc in connected_components(rem_sub):
-                cc_host = frozenset(rem_back[v] for v in cc)
-                nbrs = set()
-                for v in cc_host:
-                    nbrs |= g.adj[v]
-                nbrs &= comp_host | bd_host
-                nbrs -= cc_host
-                anchors = frozenset(
-                    u for u in marked if {back[v] for v in nice.bags[u]} & nbrs
-                ) or frozenset({min(marked)})
-                groups.setdefault(anchors, set()).update(cc_host)
+        for cc in connected_components(g, everything - remainder):
+            cc_host = frozenset(cc)
+            nbrs = set()
+            for v in cc_host:
+                nbrs |= g.adj[v]
+            nbrs &= comp_host | bd_host
+            nbrs -= cc_host
+            anchors = frozenset(
+                u for u in marked if {back[v] for v in nice.bags[u]} & nbrs
+            ) or frozenset({min(marked)})
+            groups.setdefault(anchors, set()).update(cc_host)
         for anchors, U in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
             nbrs = set()
             for v in U:
@@ -344,9 +340,7 @@ def _emit_group(g, Q, Z, nice, back, bd_host, t_out, warnings):
     # misses one of its neighbors
     z = bad_z[0]
     rest = Q - {z}
-    sub, _ = induced_subgraph(g, rest)
-    rest_back = sorted(rest)
-    comps = [frozenset(rest_back[v] for v in cc) for cc in connected_components(sub)]
+    comps = [frozenset(cc) for cc in connected_components(g, set(range(g.n)) - rest)]
     if len(comps) >= 2:
         for cc in sorted(comps, key=min):
             out.extend(

@@ -45,34 +45,29 @@ def _decode_graph(text: str) -> BoundariedGraph:
 class RepCache:
     """File-backed map from class key to the smallest known representative.
 
-    Records are appended as "key TAB graph TAB offset" lines; a corrupt tail
-    (for example a truncated final line) is dropped and the file rewritten
-    without it.
+    Records are appended as "key TAB graph TAB offset" lines.  Loading skips
+    and counts lines that do not parse (for example a truncated final line)
+    and never rewrites the file; a put after a torn tail starts a new line.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self.data: dict[str, tuple[BoundariedGraph, int]] = {}
+        self.skipped = 0  # unparsable lines seen by the load
+        self._torn = False  # the file does not end in a newline
         if path and os.path.exists(path):
             self._load()
 
     def _load(self):
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, encoding="utf-8", errors="replace") as fh:
             raw = fh.read()
-        good_lines = []
-        corrupt = False
+        self._torn = bool(raw) and not raw.endswith("\n")
         for line in raw.splitlines():
             try:
                 key, enc, off = line.split("\t")
-                bg = _decode_graph(enc)
-                self._remember(key, bg, int(off))
-                good_lines.append(line)
+                self._remember(key, _decode_graph(enc), int(off))
             except (ValueError, IndexError):
-                corrupt = True
-                break
-        if corrupt:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write("".join(l + "\n" for l in good_lines))
+                self.skipped += 1
 
     def _remember(self, key: str, bg: BoundariedGraph, offset: int) -> bool:
         cur = self.data.get(key)
@@ -86,8 +81,10 @@ class RepCache:
 
     def put(self, key: str, bg: BoundariedGraph, offset: int):
         if self._remember(key, bg, offset) and self.path:
+            record = f"{key}\t{_encode_graph(bg)}\t{offset}\n"
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(f"{key}\t{_encode_graph(bg)}\t{offset}\n")
+                fh.write("\n" + record if self._torn else record)
+            self._torn = False
 
 
 @dataclass

@@ -144,6 +144,17 @@ class TestOperations:
         comps = {frozenset(c) for c in connected_components(g)}
         assert comps == {frozenset({0, 1}), frozenset({2}), frozenset({3, 4})}
 
+    def test_components_in_least_vertex_order(self):
+        g = Graph.from_edges(6, [(5, 1), (1, 3), (0, 4)])
+        assert [sorted(c) for c in connected_components(g)] == [[0, 4], [1, 3, 5], [2]]
+
+    def test_components_without_vertices(self):
+        g = generate(parse_family("path:7"))
+        assert connected_components(g, ()) == [list(range(7))]
+        comps = connected_components(g, {2, 4})
+        assert [sorted(c) for c in comps] == [[0, 1], [3], [5, 6]]
+        assert connected_components(g, range(7)) == []
+
     def test_articulation_points_path(self):
         g = generate(parse_family("path:5"))
         assert articulation_points(g) == [1, 2, 3]

@@ -1,14 +1,20 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protkern.boundaried import boundary_of
-from protkern.graph import Graph, generate, parse_family
+from protkern.graph import Graph, connected_components, generate, induced_subgraph, parse_family
 from protkern.protrusion import (
     compute_xr,
     is_protrusion,
     partition_protrusion,
     split_protrusion,
+    xr_protrusion,
 )
-from protkern.treewidth import validate, width
+from protkern.treewidth import decide_tw_leq, validate, width
 
 
 def pendant_path_host():
@@ -62,6 +68,92 @@ class TestComputeXR:
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):
             compute_xr(generate(parse_family("path:3")), {7})
+
+
+def reference_xr_witness(g: Graph, R: frozenset[int], X: frozenset[int]):
+    """(parent, bags) of the X_R witness, assembled the former way.
+
+    G[X] and G[X-R] are rebuilt, their components found and certified a
+    second time, and each decomposition gets R added to every bag.
+    """
+    sub, vmap = induced_subgraph(g, X)
+    r_local = {vmap[v] for v in R}
+    rest = set(range(sub.n)) - r_local
+    bags: list[frozenset[int]] = [frozenset(r_local)]
+    parent: list = [None]
+    if rest:
+        rest_sub, _ = induced_subgraph(sub, rest)
+        rest_back = sorted(rest)
+        for comp in connected_components(rest_sub):
+            comp_local = frozenset(rest_back[v] for v in comp)
+            csub, _ = induced_subgraph(sub, comp_local)
+            td = decide_tw_leq(csub, len(R))
+            if td is None:
+                return None
+            cback = sorted(comp_local)
+            offset = len(bags)
+            for i, bag in enumerate(td.bags):
+                bags.append(frozenset(cback[v] for v in bag) | frozenset(r_local))
+                p = td.parent[i]
+                parent.append(offset + p if p is not None else 0)
+    return tuple(parent), tuple(bags)
+
+
+def assert_xr_witness_matches_reference(g: Graph, cut_sets):
+    for R in map(frozenset, cut_sets):
+        xr = compute_xr(g, R)
+        p = xr_protrusion(g, R, xr)
+        assert (p.witness.parent, p.witness.bags) == reference_xr_witness(g, R, xr.X)
+        assert p.X == xr.X and p.boundary == boundary_of(g, xr.X)
+        assert p.t == 2 * len(R) and width(p.witness) <= p.t
+        assert p.witness.graph == induced_subgraph(g, xr.X)[0]
+
+
+def cut_sets(n: int, sizes=range(1, 5)):
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in sizes
+    )
+
+
+def shuffled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@st.composite
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+class TestXRProtrusion:
+    @settings(max_examples=30, deadline=None)
+    @given(small_graphs())
+    def test_matches_reference_on_random_graphs(self, g):
+        assert_xr_witness_matches_reference(g, cut_sets(g.n))
+
+    @pytest.mark.parametrize("L,seed", [(3, 0), (5, 1), (7, 2)])
+    def test_matches_reference_on_shuffled_ladders(self, L, seed):
+        g = shuffled(generate(parse_family(f"grid:2,{L}")), seed)
+        assert_xr_witness_matches_reference(g, cut_sets(g.n))
+
+    def test_matches_reference_on_grid_with_pendant_paths(self):
+        # every cut set of up to 3 vertices, and a sample of the 40,920 of 4
+        # vertices (all of them take about 30 s)
+        g = generate(parse_family("grid-with-pendant-paths:3,3,2,12"))
+        fours = list(cut_sets(g.n, [4]))
+        sample = random.Random(0).sample(fours, 2000)
+        assert_xr_witness_matches_reference(g, itertools.chain(cut_sets(g.n, [1, 2, 3]), sample))
+
+    def test_witness_is_valid(self):
+        g = pendant_path_host()
+        R = frozenset({0})
+        p = xr_protrusion(g, R, compute_xr(g, R))
+        assert p.X == frozenset({0}) | frozenset(range(9, 21))
+        assert validate(p.witness) == [] and width(p.witness) <= 2
 
 
 class TestSplitProtrusion:

@@ -112,14 +112,23 @@ class TestRepCache:
 
     def test_corrupt_tail_dropped(self, tmp_path):
         path = str(tmp_path / "reps.tsv")
-        b = one_labelled(generate(parse_family("path:3")))
-        find_replacement(VC, b, cache=RepCache(path))
-        with open(path, "a") as fh:
-            fh.write("broken line without tabs")
+        small = one_labelled(Graph.from_edges(1, []))
+        writer = RepCache(path)
+        writer.put("a", small, 0)
+        with open(path, "ab") as fh:
+            fh.write(b"broken \xff line without tabs\n")
+        writer.put("b", small, 1)
+        with open(path, "rb") as fh:
+            before = fh.read()
         cache = RepCache(path)
-        assert len(cache.data) == 1
-        with open(path) as fh:
-            assert all("\t" in line for line in fh)
+        assert sorted(cache.data) == ["a", "b"] and cache.skipped == 1
+        with open(path, "rb") as fh:
+            assert fh.read() == before  # loading never rewrites the file
+        # a torn tail must not swallow the next record
+        with open(path, "a") as fh:
+            fh.write("torn\t1 0")
+        RepCache(path).put("c", small, 2)
+        assert sorted(RepCache(path).data) == ["a", "b", "c"]
 
     def test_stale_entry_revalidated(self, tmp_path):
         path = str(tmp_path / "reps.tsv")
