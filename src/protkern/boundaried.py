@@ -141,15 +141,15 @@ def canonical_code(b: BoundariedGraph, cap: int = CANONIZATION_CAP) -> bytes:
         raise CanonizationCapExceeded(f"{n} vertices exceed canonization cap {cap}")
     fixed = [v for _, v in sorted(zip(b.labels, b.boundary))]
     free = b.interior()
+    masks = b.graph.adj_masks
     best = None
     for perm in itertools.permutations(free):
         order = fixed + list(perm)
         bits = 0
         for i in range(n):
-            for j in range(i + 1, n):
-                bits <<= 1
-                if b.graph.has_edge(order[i], order[j]):
-                    bits |= 1
+            row = masks[order[i]]
+            for w in order[i + 1 :]:
+                bits = bits << 1 | row >> w & 1
         if best is None or bits < best:
             best = bits
     header = f"{n}|{','.join(map(str, sorted(b.labels)))}|".encode()

@@ -60,9 +60,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
 
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" header plus "u v" lines (0-indexed). Duplicate edges collapse."""

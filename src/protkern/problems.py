@@ -117,9 +117,14 @@ def _check_cap(spec: ProblemSpec, g: Graph) -> None:
         )
 
 
-def _max_independent(n: int, conflict: tuple[int, ...], allowed: int) -> int:
-    """Largest subset of `allowed` inducing no conflict-mask adjacency."""
-    memo: dict[int, int] = {}
+def _max_independent(conflict: tuple[int, ...], allowed: int, memo: dict | None = None) -> int:
+    """Largest subset of `allowed` inducing no conflict-mask adjacency.
+
+    The answer for a mask depends only on `conflict`, so calls with the same
+    conflict masks may share one `memo` dict.
+    """
+    if memo is None:
+        memo = {}
 
     def go(mask: int) -> int:
         if mask == 0:
@@ -135,18 +140,28 @@ def _max_independent(n: int, conflict: tuple[int, ...], allowed: int) -> int:
     return go(allowed)
 
 
-def _pairwise_distances(g: Graph) -> list[dict[int, float]]:
-    return [distances_from(g, [v]) for v in range(g.n)]
+def _balls(g: Graph, r: int) -> list[list[int]]:
+    """balls[v][d] is the mask of the vertices within distance d of v, d = 0..r."""
+    masks = g.adj_masks
+    out = []
+    for v in range(g.n):
+        ball = frontier = 1 << v
+        row = [ball]
+        for _ in range(r):
+            grown = ball
+            while frontier:
+                low = frontier & -frontier
+                grown |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & ~ball
+            ball = grown
+            row.append(ball)
+        out.append(row)
+    return out
 
 
-def _scattered_conflicts(g: Graph, r: int) -> tuple[int, ...]:
-    dist = _pairwise_distances(g)
-    conflict = [0] * g.n
-    for u in range(g.n):
-        for v in range(g.n):
-            if u != v and dist[u][v] <= r:
-                conflict[u] |= 1 << v
-    return tuple(conflict)
+def _scattered_conflicts(balls: list[list[int]], r: int) -> tuple[int, ...]:
+    return tuple(row[r] & ~(1 << v) for v, row in enumerate(balls))
 
 
 def _min_dominating(g: Graph, required: int, candidates: int, forced: int, r: int = 1):
@@ -157,10 +172,7 @@ def _min_dominating(g: Graph, required: int, candidates: int, forced: int, r: in
     if r == 1:
         balls = [g.adj_masks[v] | (1 << v) for v in range(g.n)]
     else:
-        balls = []
-        for v in range(g.n):
-            d = distances_from(g, [v])
-            balls.append(sum(1 << u for u in range(g.n) if d[u] <= r))
+        balls = [row[r] for row in _balls(g, r)]
     base = 0
     for v in range(g.n):
         if forced >> v & 1:
@@ -284,12 +296,11 @@ def brute_opt(spec: ProblemSpec, g: Graph) -> int:
     _check_cap(spec, g)
     full = (1 << g.n) - 1
     if spec.id == "vc":
-        conflict = g.adj_masks
-        return g.n - _max_independent(g.n, conflict, full)
+        return g.n - _max_independent(g.adj_masks, full)
     if spec.id == "is":
-        return _max_independent(g.n, g.adj_masks, full)
+        return _max_independent(g.adj_masks, full)
     if spec.id == "scattered":
-        return _max_independent(g.n, _scattered_conflicts(g, spec.r), full)
+        return _max_independent(_scattered_conflicts(_balls(g, spec.r), spec.r), full)
     if spec.id == "ds":
         r = spec.params[0] if spec.params else 1
         return int(_min_dominating(g, full, full, 0, r))
@@ -328,6 +339,7 @@ def vc_signature(b: BoundariedGraph) -> Signature:
     interior = sum(1 << v for v in b.interior())
     table = {}
     raw = {}
+    memo: dict[int, int] = {}
     for picks in itertools.chain.from_iterable(
         itertools.combinations(range(len(labels)), sz)
         for sz in range(len(labels) + 1)
@@ -342,7 +354,7 @@ def vc_signature(b: BoundariedGraph) -> Signature:
         if any(nbrs >> v & 1 for v in out):
             raw[T] = INF
             continue
-        raw[T] = g.n - len(out) - _max_independent(g.n, masks, interior & ~nbrs)
+        raw[T] = g.n - len(out) - _max_independent(masks, interior & ~nbrs, memo)
     finite = [v for v in raw.values() if v < INF]
     offset = min(finite) if finite else None
     cap = len(labels)
@@ -514,21 +526,29 @@ def scattered_signature(b: BoundariedGraph, r: int, t: int | None = None) -> Sig
     if t is None:
         t = len(labels)
     bverts = _boundary_in_label_order(b)
-    dist = [distances_from(g, [v]) for v in bverts]
+    balls = _balls(g, r)
     ell = {}
     for i in range(len(labels)):
+        reach = balls[bverts[i]]
         for j in range(i + 1, len(labels)):
-            d = dist[i][bverts[j]]
-            ell[(labels[i], labels[j])] = int(min(d, r))
-    conflict = _scattered_conflicts(g, r)
+            # the distance from i to j, capped at r
+            ell[(labels[i], labels[j])] = next(
+                (d for d in range(r) if reach[d] >> bverts[j] & 1), r
+            )
+    conflict = _scattered_conflicts(balls, r)
+    # far[i][s]: vertices at distance >= s from boundary vertex i; demand r+1
+    # stands for "strictly farther than r", the infinity state
+    full = (1 << g.n) - 1
+    far = [[full] + [full & ~ball for ball in balls[v]] for v in bverts]
     raw = {}
-    # demand r+1 stands for "strictly farther than r", the infinity state
-    for sigma in itertools.product(range(r + 2), repeat=len(labels)):
-        allowed = 0
-        for v in range(g.n):
-            if all(dist[i][v] >= sigma[i] for i in range(len(labels))):
-                allowed |= 1 << v
-        raw[sigma] = _max_independent(g.n, conflict, allowed)
+    memo: dict[int, int] = {}
+    for sigma, cols in zip(
+        itertools.product(range(r + 2), repeat=len(labels)), itertools.product(*far)
+    ):
+        allowed = full
+        for col in cols:
+            allowed &= col
+        raw[sigma] = _max_independent(conflict, allowed, memo)
     offset = raw[tuple([0] * len(labels))]
     table = {}
     for sigma, z in raw.items():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,27 @@ class TestSplit:
         assert boundary_of(g, {0, 1, 2, 3}) == frozenset()
 
 
+def reference_canonical_code(b):
+    """Minimum over interior permutations, one edge-set lookup per vertex pair."""
+    n = b.graph.n
+    fixed = [v for _, v in sorted(zip(b.labels, b.boundary))]
+    best = None
+    for perm in itertools.permutations(b.interior()):
+        order = fixed + list(perm)
+        bits = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                bits <<= 1
+                u, v = sorted((order[i], order[j]))
+                if (u, v) in b.graph.edges:
+                    bits |= 1
+        if best is None or bits < best:
+            best = bits
+    header = f"{n}|{','.join(map(str, sorted(b.labels)))}|".encode()
+    nbytes = (n * (n - 1) // 2 + 7) // 8
+    return header + (best or 0).to_bytes(max(nbytes, 1), "big")
+
+
 class TestCanonicalCode:
     def test_interior_permutation_invariance(self):
         g1 = Graph.from_edges(3, [(0, 1)])  # boundary 0, interior 1 covered, 2 free
@@ -130,6 +152,23 @@ class TestCanonicalCode:
         g = Graph.from_edges(12, [])
         with pytest.raises(CanonizationCapExceeded):
             canonical_code(BoundariedGraph(g, (), ()), cap=10)
+
+    def test_matches_reference(self):
+        windows = [b for L in range(4) for b in enumerate_boundaried(5, L)]
+        rng = random.Random(2009)
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            density = rng.random()
+            edges = [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+            ]
+            # at most 6 interior vertices, so at most 720 permutations
+            count = rng.randint(max(0, n - 6), n)
+            boundary = tuple(rng.sample(range(n), count))
+            labels = tuple(rng.sample(range(1, n + 3), count))
+            windows.append(BoundariedGraph(Graph.from_edges(n, edges), boundary, labels))
+        for b in windows:
+            assert canonical_code(b, cap=12) == reference_canonical_code(b), b
 
 
 def brute_class_count(n, label_count):

@@ -1,15 +1,18 @@
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from protkern.boundaried import BoundariedGraph
+from protkern.boundaried import BoundariedGraph, enumerate_boundaried
 from protkern.errors import OracleCapExceeded
 from protkern.graph import Graph, distances_from, generate, parse_family
 from protkern.problems import (
+    ORACLE_EDGE_CAP,
     ProblemInstance,
+    Signature,
     brute_opt,
     compute_signature,
     cycle_packing_signature,
@@ -49,17 +52,26 @@ def is_dominating(g, S):
 
 
 def is_independent(g, S):
-    return all(not (g.has_edge(u, v)) for u, v in itertools.combinations(S, 2))
+    return all(v not in g.adj[u] for u, v in itertools.combinations(S, 2))
 
 
-def small_graph(draw):
+def small_graph(draw, max_edges=None):
     n = draw(st.integers(min_value=1, max_value=7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = (
+        draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges))
+        if pairs
+        else []
+    )
     return Graph.from_edges(n, edges)
 
 
 small_graphs = st.composite(small_graph)()
+# K7 has 21 edges, one over the edge-problem oracle's cap
+edge_oracle_graphs = st.composite(small_graph)(max_edges=ORACLE_EDGE_CAP)
+K7_MINUS_EDGE = Graph.from_edges(
+    7, [(i, j) for i in range(7) for j in range(i + 1, 7) if (i, j) != (0, 1)]
+)
 
 
 class TestBruteOpt:
@@ -242,6 +254,89 @@ class TestScatteredSignature:
         assert s.ell == {(1, 2): 2}  # true distance 4, capped at r
 
 
+def reference_max_independent(conflict, allowed):
+    memo = {}
+
+    def go(mask):
+        if mask == 0:
+            return 0
+        if mask in memo:
+            return memo[mask]
+        v = (mask & -mask).bit_length() - 1
+        best = go(mask & ~(1 << v))
+        best = max(best, 1 + go(mask & ~(1 << v) & ~conflict[v]))
+        memo[mask] = best
+        return best
+
+    return go(allowed)
+
+
+def reference_scattered_signature(b, r, t=None):
+    """Table from BFS distance dicts, one fresh MIS memo per demand vector."""
+    g = b.graph
+    labels = sorted(b.labels)
+    if t is None:
+        t = len(labels)
+    bverts = [v for _, v in sorted(zip(b.labels, b.boundary))]
+    dist = [distances_from(g, [v]) for v in bverts]
+    ell = {}
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            d = dist[i][bverts[j]]
+            ell[(labels[i], labels[j])] = int(min(d, r))
+    pairwise = [distances_from(g, [v]) for v in range(g.n)]
+    conflict = [0] * g.n
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v and pairwise[u][v] <= r:
+                conflict[u] |= 1 << v
+    raw = {}
+    for sigma in itertools.product(range(r + 2), repeat=len(labels)):
+        allowed = 0
+        for v in range(g.n):
+            if all(dist[i][v] >= sigma[i] for i in range(len(labels))):
+                allowed |= 1 << v
+        raw[sigma] = reference_max_independent(conflict, allowed)
+    offset = raw[tuple([0] * len(labels))]
+    table = {}
+    for sigma, z in raw.items():
+        if z - offset < -2 * t:
+            table[sigma] = -INF
+        else:
+            table[sigma] = int(z - offset)
+    return Signature(b.label_set, offset, table, ell=ell)
+
+
+def random_boundaried(rng, max_vertices, max_labels):
+    n = rng.randint(1, max_vertices)
+    density = rng.random()
+    edges = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+    ]
+    count = rng.randint(0, min(max_labels, n))
+    boundary = tuple(rng.sample(range(n), count))
+    labels = tuple(rng.sample(range(1, max_labels + 3), count))
+    return BoundariedGraph(Graph.from_edges(n, edges), boundary, labels)
+
+
+@pytest.fixture(scope="module")
+def signature_windows():
+    """Every class of enumerate_boundaried(5, L), L <= 3, and random windows."""
+    out = [b for L in range(4) for b in enumerate_boundaried(5, L)]
+    rng = random.Random(2009)
+    out.extend(random_boundaried(rng, 12, 4) for _ in range(300))
+    return out
+
+
+class TestScatteredMatchesReference:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_tables_and_offsets(self, signature_windows, r):
+        for b in signature_windows:
+            got = scattered_signature(b, r)
+            want = reference_scattered_signature(b, r)
+            assert (got.serialize(), got.offset) == (want.serialize(), want.offset), b
+
+
 class TestShortCycleSignature:
     def test_triangle(self):
         s = sct_signature(BoundariedGraph(K3, (), ()), 3)
@@ -307,7 +402,8 @@ class TestSctPreprocess:
         assert out.n == 3 and removed == [3, 4]
 
     @settings(max_examples=30, deadline=None)
-    @given(small_graphs)
+    @given(edge_oracle_graphs)
+    @example(K7_MINUS_EDGE)
     def test_preserves_optimum(self, g):
         spec = get_problem("sct", s=3)
         out, _ = sct_preprocess(g, 3)

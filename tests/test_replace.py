@@ -52,6 +52,59 @@ class TestSignatureKey:
         k2 = signature_key(VC, b2, compute_signature(VC, b2), 2)
         assert k1 == k2
 
+    # A path 0-1-2-3 with a triangle 1-2-4, cut at vertices 1 and 3.  The
+    # keys name records in persisted RepCache files: a change to
+    # canonical_code or to a table's serialization orphans those records.
+    PINNED_WINDOW = BoundariedGraph(
+        Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 4)]), (1, 3), (1, 2)
+    )
+    PINNED_KEYS = [
+        (
+            "vc",
+            {},
+            "vc[]t=2|bsg=327c312c327c00|labels=[1, 2]|table=()=1;(1,)=0;(1, 2)=1;(2,)=2",
+        ),
+        (
+            "ds",
+            {},
+            "ds[]t=2|bsg=327c312c327c00|labels=[1, 2]|table=('D', 'D')=1;('D', 'F')=1;"
+            "('D', 'I')=2;('F', 'D')=1;('F', 'F')=1;('F', 'I')=2;('I', 'D')=1;"
+            "('I', 'F')=0;('I', 'I')=1",
+        ),
+        (
+            "is",
+            {},
+            "is[]t=2|bsg=327c312c327c00|labels=[1, 2]|table=(0, 0)=0;(0, 1)=-1;"
+            "(0, 2)=-1;(1, 0)=0;(1, 1)=-1;(1, 2)=-1;(2, 0)=-2;(2, 1)=-3;(2, 2)=-3"
+            "|ell=(1, 2):1",
+        ),
+        (
+            "scattered",
+            {"r": 2},
+            "scattered[2]t=2|bsg=327c312c327c00|labels=[1, 2]|table=(0, 0)=0;"
+            "(0, 1)=-1;(0, 2)=-1;(0, 3)=-1;(1, 0)=0;(1, 1)=-1;(1, 2)=-1;(1, 3)=-1;"
+            "(2, 0)=-1;(2, 1)=-2;(2, 2)=-2;(2, 3)=-2;(3, 0)=-2;(3, 1)=-2;(3, 2)=-2;"
+            "(3, 3)=-2|ell=(1, 2):2",
+        ),
+        (
+            "cyclepacking",
+            {},
+            "cyclepacking[]t=2|bsg=327c312c327c00|labels=[1, 2]|table=((), ())=0;"
+            "((), ((1, 2),))=-1;((1,), ())=-1;((1, 2), ())=-1;((2,), ())=0",
+        ),
+        (
+            "sct",
+            {"s": 3},
+            "sct[3]t=2|bsg=327c312c327c00|labels=[1, 2]|table=(0,)=0;(1,)=0;(2,)=0;(3,)=1",
+        ),
+    ]
+
+    @pytest.mark.parametrize("pid,kw,key", PINNED_KEYS, ids=[p for p, _, _ in PINNED_KEYS])
+    def test_pinned_keys(self, pid, kw, key):
+        spec = get_problem(pid, **kw)
+        b = self.PINNED_WINDOW
+        assert signature_key(spec, b, compute_signature(spec, b, 2), 2) == key
+
 
 class TestFindReplacement:
     def test_p3_endpoint_shrinks(self):
