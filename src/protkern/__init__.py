@@ -1,6 +1,6 @@
 """Kernelization for parameterized graph problems by protrusion replacement."""
 
-from .engine import EngineConfig, meta_kernelize, sweep, verify_kernel
+from .engine import EngineConfig, meta_kernelize, verify_kernel
 from .graph import Graph, generate, parse_edge_list, parse_family, write_edge_list
 from .problems import ProblemInstance, ProblemSpec, brute_opt, decide, get_problem
 
@@ -16,7 +16,6 @@ __all__ = [
     "meta_kernelize",
     "parse_edge_list",
     "parse_family",
-    "sweep",
     "verify_kernel",
     "write_edge_list",
 ]

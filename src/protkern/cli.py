@@ -1,17 +1,16 @@
-"""Command-line entry point: kernelize, verify, sweep, gen."""
+"""Command-line entry point: kernelize, verify, gen."""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
 
-from .engine import EngineConfig, meta_kernelize, sweep, verify_kernel
+from .engine import EngineConfig, meta_kernelize, verify_kernel
 from .errors import EdgeListParseError, OracleCapExceeded, TooLargeForExactTreewidth
 from .graph import generate, parse_edge_list, parse_family, write_edge_list
-from .problems import ProblemInstance, get_problem
+from .problems import PROBLEM_IDS, ProblemInstance, get_problem
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -82,23 +81,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    spec = _spec(args)
-    k_values = [int(x) for x in args.k_list.split(",") if x.strip()]
-    rows = sweep(spec, args.family, k_values, _config(args), seed=args.seed)
-    fields = ["k", "n_original", "n_kernel", "steps", "wall_ms"]
-    if args.report:
-        with open(args.report, "w", newline="", encoding="utf-8") as fh:
-            w = csv.DictWriter(fh, fieldnames=fields)
-            w.writeheader()
-            w.writerows(rows)
-    else:
-        w = csv.DictWriter(sys.stdout, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows)
-    return EXIT_OK
-
-
 def cmd_gen(args) -> int:
     g = generate(parse_family(args.family, seed=args.seed))
     text = write_edge_list(g) + "\n"
@@ -111,8 +93,7 @@ def cmd_gen(args) -> int:
 
 
 def _add_problem_args(p):
-    p.add_argument("--problem", required=True,
-                   choices=["vc", "ds", "is", "scattered", "cyclepacking", "sct"])
+    p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
     p.add_argument("--r", type=int, default=None, help="radius for scattered/ds")
     p.add_argument("--s", type=int, default=None, help="cycle-length bound for sct")
 
@@ -148,15 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", required=True)
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("sweep", help="kernelize a family across k values")
-    _add_problem_args(p)
-    p.add_argument("--family", required=True, help="family template, may contain {k}")
-    p.add_argument("--k-list", required=True, dest="k_list")
-    _add_engine_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None)
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("gen", help="write a family graph as an edge list")
     p.add_argument("--family", required=True)

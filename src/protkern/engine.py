@@ -1,25 +1,14 @@
-"""The kernelization driver loop, verification harness, and family sweeps."""
+"""The kernelization driver loop and verification harness."""
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
-from .boundaried import canonical_code, split
+from .boundaried import CANONIZATION_CAP, canonical_code, split
 from .errors import CanonizationCapExceeded, OracleCapExceeded
-from .graph import Graph, articulation_points, distances_from, generate, parse_family
-from .problems import (
-    MAX,
-    MIN,
-    ORACLE_VERTEX_CAP,
-    ProblemInstance,
-    ProblemSpec,
-    brute_opt,
-    decide,
-    has_signature,
-    sct_preprocess,
-)
+from .graph import Graph, articulation_points, distances_from
+from .problems import MAX, ProblemInstance, ProblemSpec, decide, has_signature, sct_preprocess
 from .protrusion import compute_xr, split_protrusion, xr_protrusion
 from .replace import BUDGET, FOUND, FOUND_CACHE, RepCache, apply_replacement, find_replacement
 
@@ -39,6 +28,10 @@ class EngineConfig:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("t must be at least 1")
+        # windows have more than split_c vertices, and canonization stops at
+        # CANONIZATION_CAP, so a larger split_c would never reduce anything
+        if not 1 <= self.split_c < CANONIZATION_CAP:
+            raise ValueError(f"split_c must be between 1 and {CANONIZATION_CAP - 1}")
         if self.r_search is None:
             self.r_search = 2 * self.t
         if self.size_threshold is None:
@@ -138,16 +131,11 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
             if len(xr.X) < cfg.size_threshold:
                 continue
             p = xr_protrusion(inst.graph, Rset, xr)
-            if len(p.X) > 2 * cfg.split_c:
-                try:
-                    y = split_protrusion(inst.graph, p, cfg.split_c)
-                except ValueError:
-                    continue
-            else:
-                y = p
-            b = split(inst.graph, y.X).g_x
-            if b.graph.n > ORACLE_VERTEX_CAP:
+            try:
+                y = split_protrusion(inst.graph, p, cfg.split_c)
+            except ValueError:
                 continue
+            b = split(inst.graph, y.X).g_x
             try:
                 code = canonical_code(b)
             except CanonizationCapExceeded:
@@ -190,7 +178,7 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
 
 
 # ---------------------------------------------------------------------------
-# verification and sweeps
+# verification
 
 
 def verify_kernel(original: ProblemInstance, kernel: ProblemInstance) -> dict:
@@ -207,24 +195,3 @@ def verify_kernel(original: ProblemInstance, kernel: ProblemInstance) -> dict:
     report["agreement"] = a == b
     return report
 
-
-def sweep(spec: ProblemSpec, family_template: str, k_values, cfg: EngineConfig, seed: int = 0):
-    """One kernelization per k; the family template may mention {k}."""
-    rows = []
-    for k in k_values:
-        fam = parse_family(family_template.format(k=k), seed=seed)
-        g = generate(fam)
-        inst = ProblemInstance(g, k, spec)
-        start = time.monotonic()
-        out, log = meta_kernelize(inst, cfg)
-        wall_ms = int((time.monotonic() - start) * 1000)
-        rows.append(
-            {
-                "k": k,
-                "n_original": g.n,
-                "n_kernel": out.graph.n,
-                "steps": len(log.steps),
-                "wall_ms": wall_ms,
-            }
-        )
-    return rows

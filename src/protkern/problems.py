@@ -38,11 +38,23 @@ class ProblemSpec:
         return self.params[0]
 
 
+PROBLEM_IDS = ("vc", "ds", "is", "scattered", "cyclepacking", "sct")
+
+
 def get_problem(pid: str, r: int | None = None, s: int | None = None) -> ProblemSpec:
+    """Spec of problem `pid`; a parameter the problem does not take is an error."""
+    if pid not in PROBLEM_IDS:
+        raise ValueError(f"unknown problem id '{pid}'")
+    if r is not None and pid not in ("ds", "scattered"):
+        raise ValueError(f"problem '{pid}' takes no --r")
+    if s is not None and pid != "sct":
+        raise ValueError(f"problem '{pid}' takes no --s")
     if pid == "vc":
         return ProblemSpec("vc", MIN, "vertex-set")
     if pid == "ds":
-        return ProblemSpec("ds", MIN, "vertex-set", (r,) if r else ())
+        if r is not None and r < 1:
+            raise ValueError("ds needs --r >= 1")
+        return ProblemSpec("ds", MIN, "vertex-set", () if r is None else (r,))
     if pid == "is":
         return ProblemSpec("is", MAX, "vertex-set")
     if pid == "scattered":
@@ -51,11 +63,9 @@ def get_problem(pid: str, r: int | None = None, s: int | None = None) -> Problem
         return ProblemSpec("scattered", MAX, "vertex-set", (r,))
     if pid == "cyclepacking":
         return ProblemSpec("cyclepacking", MAX, "edge-set")
-    if pid == "sct":
-        if s is None or s < 3:
-            raise ValueError("sct needs --s >= 3")
-        return ProblemSpec("sct", MIN, "edge-set", (s,))
-    raise ValueError(f"unknown problem id '{pid}'")
+    if s is None or s < 3:
+        raise ValueError("sct needs --s >= 3")
+    return ProblemSpec("sct", MIN, "edge-set", (s,))
 
 
 @dataclass(frozen=True)

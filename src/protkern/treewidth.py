@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 from .errors import TooLargeForExactTreewidth
 from .graph import Graph
@@ -57,60 +58,48 @@ def width(td: TreeDecomposition) -> int:
 
 def validate(td: TreeDecomposition) -> list[str]:
     """Empty list iff td is a valid (and, for nice form, well-kinded) decomposition."""
-    g = td.graph
-    out = []
-    n_nodes = len(td.bags)
-    if len(td.parent) != n_nodes:
+    g, parent, bags = td.graph, td.parent, td.bags
+    n_nodes = len(bags)
+    if len(parent) != n_nodes:
         return ["parent/bag arrays differ in length"]
-    roots = [i for i, p in enumerate(td.parent) if p is None]
+    out = []
+    roots = [i for i, p in enumerate(parent) if p is None]
     if len(roots) != 1:
         out.append(f"expected exactly one root, found {len(roots)}")
-    for i, p in enumerate(td.parent):
+    for i, p in enumerate(parent):
         if p is not None and not (0 <= p < n_nodes):
             out.append(f"node {i} has out-of-range parent {p}")
-    # acyclicity via walking to the root
-    for i in range(n_nodes):
-        seen = set()
-        j = i
-        while j is not None:
-            if j in seen:
-                out.append(f"cycle in parent links through node {i}")
-                return out
-            seen.add(j)
-            j = td.parent[j]
-    for b in td.bags:
-        for v in b:
+    if out:
+        return out
+    # every node not reached from the root lies on a cycle of parent links
+    ch = td.children()
+    reached = [False] * n_nodes
+    stack = roots
+    while stack:
+        u = stack.pop()
+        reached[u] = True
+        stack.extend(ch[u])
+    if not all(reached):
+        return [f"cycle in parent links through node {reached.index(False)}"]
+    # in a tree, the nodes holding v are connected iff exactly one of them is
+    # the root or has a parent without v
+    tops = [0] * g.n
+    covered = set()
+    for i, bag in enumerate(bags):
+        up = bags[parent[i]] if parent[i] is not None else ()
+        for v in bag:
             if not (0 <= v < g.n):
                 out.append(f"bag vertex {v} outside the host graph")
-    # every vertex occurs, in a connected set of nodes
-    occ: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for i, b in enumerate(td.bags):
-        for v in b:
-            occ[v].append(i)
-    ch = td.children()
-    for v in range(g.n):
-        nodes = occ[v]
-        if not nodes:
+            elif v not in up:
+                tops[v] += 1
+        covered.update(itertools.combinations(sorted(bag), 2))
+    for v, count in enumerate(tops):
+        if count == 0:
             out.append(f"vertex {v} appears in no bag")
-            continue
-        start = nodes[0]
-        nodeset = set(nodes)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            nbrs = list(ch[u])
-            if td.parent[u] is not None:
-                nbrs.append(td.parent[u])
-            for w in nbrs:
-                if w in nodeset and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp != nodeset:
+        elif count > 1:
             out.append(f"occurrences of vertex {v} are disconnected")
-    for u, v in sorted(g.edges):
-        if not any(u in b and v in b for b in td.bags):
-            out.append(f"edge ({u},{v}) not contained in any bag")
+    for u, v in sorted(g.edges - covered):
+        out.append(f"edge ({u},{v}) not contained in any bag")
     if isinstance(td, NiceTreeDecomposition):
         out.extend(_validate_nice(td, ch))
     return out
@@ -290,8 +279,7 @@ def _assemble(g: Graph, order: list[int], bags: list[int], rest: int) -> TreeDec
 
 
 class _NiceBuilder:
-    def __init__(self, graph: Graph):
-        self.graph = graph
+    def __init__(self):
         self.bags: list[frozenset[int]] = []
         self.kinds: list[str] = []
         self.parent: list = []
@@ -327,31 +315,13 @@ class _NiceBuilder:
         return node
 
 
-def make_nice(td: TreeDecomposition, root: int | None = None) -> NiceTreeDecomposition:
-    """Width-preserving nice form of td, re-rooted at `root`."""
+def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
+    """Width-preserving nice form of td, with the same root."""
     bad = validate(td)
     if bad:
         raise ValueError("invalid tree decomposition: " + "; ".join(bad))
-    if root is None:
-        root = td.root
-    # re-orient parent links toward the chosen root
-    ch: list[list[int]] = [[] for _ in td.bags]
-    undirected: list[set[int]] = [set() for _ in td.bags]
-    for i, p in enumerate(td.parent):
-        if p is not None:
-            undirected[i].add(p)
-            undirected[p].add(i)
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in undirected[u]:
-            if w not in seen:
-                seen.add(w)
-                ch[u].append(w)
-                stack.append(w)
-
-    b = _NiceBuilder(td.graph)
+    ch = td.children()
+    b = _NiceBuilder()
 
     def build(node: int) -> int:
         kids = ch[node]
@@ -364,8 +334,5 @@ def make_nice(td: TreeDecomposition, root: int | None = None) -> NiceTreeDecompo
             top = b.add(bag, JOIN, [top, other])
         return top
 
-    build(root)
-    nice = NiceTreeDecomposition(
-        td.graph, tuple(b.parent), tuple(b.bags), tuple(b.kinds)
-    )
-    return nice
+    build(td.root)
+    return NiceTreeDecomposition(td.graph, tuple(b.parent), tuple(b.bags), tuple(b.kinds))

@@ -12,7 +12,7 @@ import networkx as nx
 import pytest
 
 from protkern.boundaried import boundary_of, enumerate_boundaried, glue
-from protkern.engine import EngineConfig, meta_kernelize, sweep, trivial_instance
+from protkern.engine import EngineConfig, meta_kernelize, trivial_instance
 from protkern.graph import Graph, generate, induced_subgraph, parse_family
 from protkern.problems import (
     ProblemInstance,
@@ -379,10 +379,10 @@ def test_05_kernel_size_scales_linearly():
     for pid in ("ds", "vc"):
         spec = get_problem(pid)
         for k in (2, 10, 20):
-            sizes = {
-                L: sweep(spec, "star-of-paths:{k}," + str(L), [k], cfg)[0]["n_kernel"]
-                for L in (20, 50, 100)
-            }
+            sizes = {}
+            for L in (20, 50, 100):
+                g = generate(parse_family(f"star-of-paths:{k},{L}"))
+                sizes[L] = meta_kernelize(ProblemInstance(g, k, spec), cfg)[0].graph.n
             if len(set(sizes.values())) != 1:
                 failures.append(f"{pid} k={k}: kernel varies with pendant length {sizes}")
     wall = time.monotonic() - start

@@ -1,5 +1,6 @@
-import csv
 import json
+
+import pytest
 
 from protkern.cli import EXIT_CAPS, EXIT_OK, EXIT_PARSE, main
 from protkern.graph import parse_edge_list
@@ -57,6 +58,25 @@ class TestKernelize:
         code = run("kernelize", "--problem", "vc", "--k", "1", "--input", str(bad))
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--problem", "ds", "--r", "-1", "--size-threshold", "11"],
+            ["--problem", "ds", "--r", "0"],
+            ["--problem", "vc", "--r", "2"],
+            ["--problem", "is", "--s", "3"],
+            ["--problem", "vc", "--split-c", "10"],
+        ],
+    )
+    def test_bad_parameter_is_argument_error(self, tmp_path, capsys, args):
+        # a ds radius below 1 can turn this NO instance into a YES kernel, and
+        # windows of more than 10 vertices are never canonized
+        src = tmp_path / "g.txt"
+        run("gen", "--family", "path:14", "--out", str(src))
+        code = run("kernelize", *args, "--k", "12", "--input", str(src))
+        assert code == EXIT_PARSE
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_agreement(self, tmp_path, capsys):
@@ -89,17 +109,3 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert "unverifiable" in json.loads(capsys.readouterr().out)["note"]
-
-
-class TestSweep:
-    def test_csv_report(self, tmp_path):
-        rep = tmp_path / "sweep.csv"
-        code = run(
-            "sweep", "--problem", "ds", "--family", "star-of-paths:{k},12",
-            "--k-list", "2,3", "--report", str(rep),
-        )
-        assert code == EXIT_OK
-        with open(rep, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["k"] for r in rows] == ["2", "3"]
-        assert all(int(r["n_kernel"]) <= int(r["n_original"]) for r in rows)

@@ -3,7 +3,6 @@ import pytest
 from protkern.engine import (
     EngineConfig,
     meta_kernelize,
-    sweep,
     trivial_instance,
     verify_kernel,
 )
@@ -32,6 +31,15 @@ class TestConfig:
     def test_rejects_tiny_threshold(self):
         with pytest.raises(ValueError):
             EngineConfig(t=1, split_c=5, size_threshold=10)
+
+    @pytest.mark.parametrize("split_c", [-1, 0, 10, 12])
+    def test_rejects_split_c_outside_canonizable_windows(self, split_c):
+        # windows have more than split_c vertices, and canonization stops at 10
+        with pytest.raises(ValueError):
+            EngineConfig(t=1, split_c=split_c)
+
+    def test_accepts_largest_canonizable_split_c(self):
+        assert EngineConfig(t=1, split_c=9).size_threshold == 42
 
 
 class TestTrivialInstances:
@@ -151,14 +159,3 @@ class TestVerifyKernel:
         assert rep["agreement"] is None
         assert "unverifiable" in rep["note"]
 
-
-class TestSweep:
-    def test_rows_and_template(self):
-        rows = sweep(DS, "star-of-paths:{k},12", [2, 3], cfg())
-        assert [r["k"] for r in rows] == [2, 3]
-        for r in rows:
-            assert r["n_kernel"] <= r["n_original"]
-            assert set(r) == {"k", "n_original", "n_kernel", "steps", "wall_ms"}
-
-    def test_empty_k_list(self):
-        assert sweep(VC, "path:10", [], cfg()) == []

@@ -74,6 +74,35 @@ K7_MINUS_EDGE = Graph.from_edges(
 )
 
 
+class TestGetProblem:
+    @pytest.mark.parametrize(
+        "pid,kw",
+        [
+            ("ds", {"r": -1}),
+            ("ds", {"r": 0}),
+            ("scattered", {}),
+            ("scattered", {"r": 0}),
+            ("sct", {}),
+            ("sct", {"s": 2}),
+            ("vc", {"r": 1}),
+            ("is", {"r": 2}),
+            ("cyclepacking", {"r": 1}),
+            ("sct", {"s": 3, "r": 1}),
+            ("vc", {"s": 3}),
+            ("ds", {"s": 3}),
+            ("scattered", {"r": 2, "s": 3}),
+            ("fvs", {}),
+        ],
+    )
+    def test_rejects_bad_parameters(self, pid, kw):
+        with pytest.raises(ValueError):
+            get_problem(pid, **kw)
+
+    def test_ds_radius(self):
+        assert get_problem("ds").params == ()
+        assert get_problem("ds", r=2).params == (2,)
+
+
 class TestBruteOpt:
     def test_vc_triangle(self):
         assert brute_opt(get_problem("vc"), K3) == 2

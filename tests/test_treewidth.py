@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,9 +8,13 @@ from hypothesis import strategies as st
 
 from protkern.errors import TooLargeForExactTreewidth
 from protkern.graph import Graph, generate, parse_family
+from protkern.protrusion import compute_xr, xr_protrusion
 from protkern.treewidth import (
+    JOIN,
     NiceTreeDecomposition,
     TreeDecomposition,
+    _NiceBuilder,
+    _validate_nice,
     decide_tw_leq,
     make_nice,
     validate,
@@ -130,6 +135,123 @@ def assert_matches_reference(g: Graph, t: int):
     assert (td is None) == (ref is None)
     if t <= 2 and td is not None:
         assert (td.parent, td.bags) == (ref.parent, ref.bags)
+
+
+def reference_validate(td: TreeDecomposition) -> list[str]:
+    """Walk-to-root validation: a parent walk from every node and a bag scan
+    per edge.  Raises KeyError on a bag vertex outside the graph."""
+    g = td.graph
+    out = []
+    n_nodes = len(td.bags)
+    if len(td.parent) != n_nodes:
+        return ["parent/bag arrays differ in length"]
+    roots = [i for i, p in enumerate(td.parent) if p is None]
+    if len(roots) != 1:
+        out.append(f"expected exactly one root, found {len(roots)}")
+    for i, p in enumerate(td.parent):
+        if p is not None and not (0 <= p < n_nodes):
+            out.append(f"node {i} has out-of-range parent {p}")
+    for i in range(n_nodes):
+        seen = set()
+        j = i
+        while j is not None:
+            if j in seen:
+                out.append(f"cycle in parent links through node {i}")
+                return out
+            seen.add(j)
+            j = td.parent[j]
+    for b in td.bags:
+        for v in b:
+            if not (0 <= v < g.n):
+                out.append(f"bag vertex {v} outside the host graph")
+    occ: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    for i, b in enumerate(td.bags):
+        for v in b:
+            occ[v].append(i)
+    ch = td.children()
+    for v in range(g.n):
+        nodes = occ[v]
+        if not nodes:
+            out.append(f"vertex {v} appears in no bag")
+            continue
+        nodeset = set(nodes)
+        comp = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            u = stack.pop()
+            nbrs = list(ch[u])
+            if td.parent[u] is not None:
+                nbrs.append(td.parent[u])
+            for w in nbrs:
+                if w in nodeset and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        if comp != nodeset:
+            out.append(f"occurrences of vertex {v} are disconnected")
+    for u, v in sorted(g.edges):
+        if not any(u in b and v in b for b in td.bags):
+            out.append(f"edge ({u},{v}) not contained in any bag")
+    if isinstance(td, NiceTreeDecomposition):
+        out.extend(_validate_nice(td, ch))
+    return out
+
+
+def reference_make_nice(td: TreeDecomposition, root: int) -> NiceTreeDecomposition:
+    """Nice form after re-orienting the parent links toward `root`."""
+    ch: list[list[int]] = [[] for _ in td.bags]
+    undirected: list[set[int]] = [set() for _ in td.bags]
+    for i, p in enumerate(td.parent):
+        if p is not None:
+            undirected[i].add(p)
+            undirected[p].add(i)
+    seen = {root}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in undirected[u]:
+            if w not in seen:
+                seen.add(w)
+                ch[u].append(w)
+                stack.append(w)
+    b = _NiceBuilder()
+
+    def build(node: int) -> int:
+        bag = td.bags[node]
+        if not ch[node]:
+            return b.leaf_chain(bag)
+        tops = [b.transition(build(k), bag) for k in sorted(ch[node])]
+        top = tops[0]
+        for other in tops[1:]:
+            top = b.add(bag, JOIN, [top, other])
+        return top
+
+    build(root)
+    return NiceTreeDecomposition(td.graph, tuple(b.parent), tuple(b.bags), tuple(b.kinds))
+
+
+def mutate(td: TreeDecomposition, kind: str, a: int, b: int) -> TreeDecomposition:
+    """td with one bag vertex dropped or added (possibly outside the graph),
+    one parent re-pointed (possibly to itself), or one node made a root."""
+    parent, bags = list(td.parent), list(td.bags)
+    i = a % len(bags)
+    if kind == "drop" and bags[i]:
+        bags[i] = bags[i] - {sorted(bags[i])[b % len(bags[i])]}
+    elif kind == "add":
+        bags[i] = bags[i] | {b % (td.graph.n + 2)}
+    elif kind == "repoint":
+        parent[i] = b % len(bags)
+    elif kind == "root":
+        parent[i] = None
+    return dataclasses.replace(td, parent=tuple(parent), bags=tuple(bags))
+
+
+def assert_validate_matches_reference(td: TreeDecomposition):
+    try:
+        want = reference_validate(td)
+    except KeyError:  # a bag vertex outside the graph
+        assert validate(td) != []
+        return
+    assert (validate(td) == []) == (want == [])
 
 
 def shuffled(g: Graph, seed: int) -> Graph:
@@ -259,6 +381,34 @@ class TestValidate:
         td = TreeDecomposition(g, (None, None), (frozenset({0}), frozenset({0})))
         assert any("root" in m for m in validate(td))
 
+    def test_detects_parent_cycle(self):
+        g = Graph.from_edges(1, [])
+        td = TreeDecomposition(g, (None, 2, 1), (frozenset({0}),) * 3)
+        assert validate(td) == ["cycle in parent links through node 1"]
+
+    def test_bag_vertex_outside_graph(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        td = TreeDecomposition(g, (None,), (frozenset({0, 1, 2}),))
+        assert validate(td) == ["bag vertex 2 outside the host graph"]
+        with pytest.raises(ValueError, match="outside the host graph"):
+            make_nice(td)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graphs_to_10,
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(["none", "drop", "add", "repoint", "root"]),
+        st.integers(min_value=0, max_value=99),
+        st.integers(min_value=0, max_value=99),
+    )
+    def test_matches_reference(self, g, t, kind, a, b):
+        td = decide_tw_leq(g, t)
+        if td is None:
+            return
+        for d in (td, make_nice(td)):
+            assert_validate_matches_reference(d)
+            assert_validate_matches_reference(mutate(d, kind, a, b))
+
 
 class TestNiceForm:
     @settings(max_examples=50, deadline=None)
@@ -286,3 +436,31 @@ class TestNiceForm:
         bad = TreeDecomposition(g, (None,), (frozenset({0}),))
         with pytest.raises(ValueError):
             make_nice(bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_to_10, st.integers(min_value=0, max_value=3))
+    def test_matches_reference_on_certificates(self, g, t):
+        td = decide_tw_leq(g, t)
+        if td is not None:
+            nice, ref = make_nice(td), reference_make_nice(td, td.root)
+            assert (nice.parent, nice.bags, nice.kinds) == (ref.parent, ref.bags, ref.kinds)
+
+    @pytest.mark.parametrize(
+        "family",
+        ["grid-with-pendant-paths:3,3,2,6", "star-of-paths:4,5", "grid:2,8", "random-sparse:14,20"],
+    )
+    def test_matches_reference_on_xr_witnesses(self, family):
+        g = shuffled(generate(parse_family(family)), 0)
+        checked = 0
+        for R in itertools.chain.from_iterable(
+            itertools.combinations(range(g.n), size) for size in (1, 2)
+        ):
+            xr = compute_xr(g, R)
+            if not xr.components:
+                continue
+            td = xr_protrusion(g, R, xr).witness
+            assert validate(td) == reference_validate(td) == []
+            nice, ref = make_nice(td), reference_make_nice(td, td.root)
+            assert (nice.parent, nice.bags, nice.kinds) == (ref.parent, ref.bags, ref.kinds)
+            checked += 1
+        assert checked > 0
