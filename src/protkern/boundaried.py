@@ -157,6 +157,46 @@ def canonical_code(b: BoundariedGraph, cap: int = CANONIZATION_CAP) -> bytes:
     return header + (best or 0).to_bytes(max(nbytes, 1), "big")
 
 
+def _candidates(
+    label_count: int,
+    pinned: frozenset | None,
+    max_vertices: int | None = None,
+    budget: int | None = None,
+):
+    """Each raw candidate of the smallest-first enumeration, in order: its
+    boundaried graph when it opens a new label-fixing isomorphism class, else
+    None. `pinned`, the boundary-induced edges (vertex i-1 for label i), fixes
+    the boundary pairs; None leaves them free. With no max_vertices it never ends.
+    """
+    examined = 0
+    boundary = tuple(range(label_count))
+    labels = tuple(range(1, label_count + 1))
+    n = label_count
+    while max_vertices is None or n <= max_vertices:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        free = [p for p in pairs if pinned is None or p[1] >= label_count]
+        base = [p for p in pairs if pinned is not None and p[1] < label_count and p in pinned]
+        seen = set()
+        for bits in range(1 << len(free)):
+            if budget is not None and examined >= budget:
+                raise EnumerationBudgetExceeded(
+                    f"enumeration exceeded budget of {budget} candidates"
+                )
+            examined += 1
+            edges = list(base)
+            for i, p in enumerate(free):
+                if bits >> i & 1:
+                    edges.append(p)
+            bg = BoundariedGraph(Graph.from_edges(n, edges), boundary, labels)
+            code = canonical_code(bg, cap=n)
+            if code in seen:
+                yield None
+                continue
+            seen.add(code)
+            yield bg
+        n += 1
+
+
 def enumerate_boundaried(
     max_vertices: int,
     label_count: int,
@@ -175,35 +215,53 @@ def enumerate_boundaried(
         raise ValueError("need max_vertices >= label_count >= 0")
     if fixed_boundary_subgraph is not None and fixed_boundary_subgraph.n != label_count:
         raise ValueError("fixed boundary subgraph must have label_count vertices")
-    examined = 0
-    boundary = tuple(range(label_count))
-    labels = tuple(range(1, label_count + 1))
-    start = label_count if label_count > 0 else 0
-    for n in range(start, max_vertices + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        if fixed_boundary_subgraph is not None:
-            pinned = set(fixed_boundary_subgraph.edges)
-            free = [
-                p for p in pairs if not (p[0] < label_count and p[1] < label_count)
-            ]
-            base = [p for p in pairs if p[0] < label_count and p[1] < label_count and p in pinned]
-        else:
-            free = pairs
-            base = []
-        seen = set()
-        for bits in range(1 << len(free)):
-            if budget is not None and examined >= budget:
-                raise EnumerationBudgetExceeded(
-                    f"enumeration exceeded budget of {budget} candidates"
-                )
-            examined += 1
-            edges = list(base)
-            for i, p in enumerate(free):
-                if bits >> i & 1:
-                    edges.append(p)
-            bg = BoundariedGraph(Graph.from_edges(n, edges), boundary, labels)
-            code = canonical_code(bg, cap=max(CANONIZATION_CAP, max_vertices))
-            if code in seen:
-                continue
-            seen.add(code)
+    pinned = None if fixed_boundary_subgraph is None else fixed_boundary_subgraph.edges
+    for bg in _candidates(label_count, pinned, max_vertices, budget):
+        if bg is not None:
             yield bg
+
+
+class ClassCursor:
+    """Resumable `enumerate_boundaried` over one pinned boundary subgraph.
+
+    Same order, with no size bound: `classes[i]` is the i-th class met, as
+    (raw index, vertex count, edge mask), where edge (u, v), u < v, is bit
+    v(v-1)/2 + u. Not thread-safe.
+    """
+
+    def __init__(self, boundary_subgraph: Graph):
+        self.bsg = boundary_subgraph
+        self.scanned = 0  # raw candidates consumed
+        self.classes: list[tuple[int, int, int]] = []
+        self._raw = None
+
+    def raw_count(self, max_vertices: int) -> int:
+        """Number of raw candidates with at most max_vertices vertices."""
+        pinned = self.bsg.n * (self.bsg.n - 1) // 2
+        return sum(1 << n * (n - 1) // 2 - pinned for n in range(self.bsg.n, max_vertices + 1))
+
+    def advance(self, stop: int) -> bool:
+        """Consume raw candidates until a new class is met or `stop` are consumed."""
+        if self._raw is None:  # new, or dropped after a scan that raised
+            self._raw = itertools.islice(
+                _candidates(self.bsg.n, self.bsg.edges), self.scanned, None
+            )
+        while self.scanned < stop:
+            try:
+                bg = next(self._raw)
+            except BaseException:
+                self._raw = None  # a generator that raised cannot resume
+                raise
+            self.scanned += 1
+            if bg is not None:
+                mask = sum(1 << v * (v - 1) // 2 + u for u, v in bg.graph.edges)
+                self.classes.append((self.scanned - 1, bg.graph.n, mask))
+                return True
+        return False
+
+    def graph(self, i: int) -> BoundariedGraph:
+        """The representative of class i."""
+        _, n, mask = self.classes[i]
+        edges = [(u, v) for v in range(n) for u in range(v) if mask >> v * (v - 1) // 2 + u & 1]
+        labels = tuple(range(1, self.bsg.n + 1))
+        return BoundariedGraph(Graph.from_edges(n, edges), tuple(range(self.bsg.n)), labels)

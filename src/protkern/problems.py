@@ -54,7 +54,8 @@ def get_problem(pid: str, r: int | None = None, s: int | None = None) -> Problem
     if pid == "ds":
         if r is not None and r < 1:
             raise ValueError("ds needs --r >= 1")
-        return ProblemSpec("ds", MIN, "vertex-set", () if r is None else (r,))
+        # radius 1 is plain domination, one spec and one signature key
+        return ProblemSpec("ds", MIN, "vertex-set", () if r in (None, 1) else (r,))
     if pid == "is":
         return ProblemSpec("is", MAX, "vertex-set")
     if pid == "scattered":
@@ -100,13 +101,15 @@ class Signature:
             )
         return out
 
+    def class_key(self) -> tuple:
+        """Hashable (label set, table states, table values, ell); offsets may differ."""
+        states = tuple(sorted(self.table))
+        ell = None if self.ell is None else tuple(sorted(self.ell.items()))
+        return (self.label_set, states, tuple(self.table[s] for s in states), ell)
+
     def same_class(self, other: "Signature") -> bool:
         """Equivalence for replacement purposes; offsets may differ."""
-        return (
-            self.label_set == other.label_set
-            and self.table == other.table
-            and self.ell == other.ell
-        )
+        return self.class_key() == other.class_key()
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .boundaried import BoundariedGraph, canonical_code, enumerate_boundaried, glue, split
-from .errors import EnumerationBudgetExceeded
+from .boundaried import BoundariedGraph, ClassCursor, canonical_code, glue, split
+from .errors import OracleCapExceeded
 from .graph import Graph
 from .problems import ProblemInstance, ProblemSpec, Signature, compute_signature
 
@@ -42,12 +42,17 @@ def _decode_graph(text: str) -> BoundariedGraph:
     return BoundariedGraph(g, tuple(range(nlab)), tuple(range(1, nlab + 1)))
 
 
+CACHE_HEADER = "#protkern-repcache 1"  # bump when signature_key or the records change
+
+
 class RepCache:
     """File-backed map from class key to the smallest known representative.
 
-    Records are appended as "key TAB graph TAB offset" lines.  Loading skips
-    and counts lines that do not parse (for example a truncated final line)
-    and never rewrites the file; a put after a torn tail starts a new line.
+    A new file starts with CACHE_HEADER; another version's header raises
+    ValueError, and a headerless file loads as this version.  Records are
+    appended as "key TAB graph TAB offset" lines.  Loading skips and counts
+    lines that do not parse and a torn final line with no newline, and never
+    rewrites the file; a put after a torn tail starts a new line.
     """
 
     def __init__(self, path: str | None = None):
@@ -59,10 +64,14 @@ class RepCache:
             self._load()
 
     def _load(self):
-        with open(self.path, encoding="utf-8", errors="replace") as fh:
-            raw = fh.read()
-        self._torn = bool(raw) and not raw.endswith("\n")
-        for line in raw.splitlines():
+        with open(self.path, encoding="utf-8", errors="replace", newline="") as fh:
+            lines = fh.read().split("\n")
+        self._torn = lines.pop() != ""
+        self.skipped += self._torn
+        if lines and lines[0].startswith(CACHE_HEADER.split()[0]):
+            if lines.pop(0).strip() != CACHE_HEADER:
+                raise ValueError(f"replacement cache {self.path} is not in format {CACHE_HEADER!r}")
+        for line in lines:
             try:
                 key, enc, off = line.split("\t")
                 self._remember(key, _decode_graph(enc), int(off))
@@ -83,7 +92,11 @@ class RepCache:
         if self._remember(key, bg, offset) and self.path:
             record = f"{key}\t{_encode_graph(bg)}\t{offset}\n"
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("\n" + record if self._torn else record)
+                if fh.tell() == 0:
+                    record = f"{CACHE_HEADER}\n{record}"
+                elif self._torn:
+                    record = "\n" + record
+                fh.write(record)
             self._torn = False
 
 
@@ -92,6 +105,66 @@ class FindResult:
     status: str  # found | found-cache | irreducible | budget
     j: BoundariedGraph | None = None
     c: int = 0
+
+
+@dataclass
+class _View:
+    """One (spec, t)'s signatures over a class cursor, taken in class order."""
+
+    pos: int = 0  # classes taken
+    # class key -> (offset, class index) of each class member whose offset is
+    # below that of every earlier member, in class order
+    kept: dict = field(default_factory=dict)
+    states: dict = field(default_factory=dict)  # one shared tuple per table state list
+    cap: tuple[int, str] | None = None  # raw index and message of an OracleCapExceeded
+
+
+# The table of representatives: one class cursor per (|B|, boundary subgraph),
+# shared by every problem, and one view per (spec, t) on it.  It lives for the
+# process, so later kernelizations reuse the classes and signatures earlier
+# ones took.  Not thread-safe, like RepCache.
+_CURSORS: dict[tuple[int, frozenset], ClassCursor] = {}
+_VIEWS: dict[tuple, _View] = {}
+
+
+def _search(spec: ProblemSpec, b: BoundariedGraph, sig_b: Signature, budget, t) -> FindResult:
+    """From the table, the first enumerated candidate with fewer vertices than
+    b, b's class and an offset no larger.  The budget counts raw candidates as
+    enumerate_boundaried does; an OracleCapExceeded met on the way is raised."""
+    bsg = b.boundary_subgraph()
+    where = (bsg.n, bsg.edges)
+    cursor = _CURSORS.get(where) or _CURSORS.setdefault(where, ClassCursor(bsg))
+    view = _VIEWS.get((spec, t) + where) or _VIEWS.setdefault((spec, t) + where, _View())
+    total = cursor.raw_count(b.graph.n - 1)
+    limit = total if budget is None else min(budget, total)
+    want = sig_b.class_key()
+    hit = next(((off, i) for off, i in view.kept.get(want, ()) if off <= sig_b.offset), None)
+    while hit is None and view.cap is None:
+        if view.pos == len(cursor.classes) and not cursor.advance(limit):
+            break
+        raw = cursor.classes[view.pos][0]
+        if raw >= limit:
+            break
+        try:
+            sig = compute_signature(spec, cursor.graph(view.pos), t)
+        except OracleCapExceeded as exc:
+            view.cap = (raw, str(exc))
+            break
+        view.pos += 1
+        if sig.offset is None:
+            continue
+        label_set, states, values, ell = sig.class_key()
+        key = (label_set, view.states.setdefault(states, states), values, ell)
+        kept = view.kept.setdefault(key, [])
+        if not kept or sig.offset < kept[-1][0]:
+            kept.append((sig.offset, view.pos - 1))
+            if key == want and sig.offset <= sig_b.offset:
+                hit = kept[-1]
+    if hit is not None and cursor.classes[hit[1]][0] < limit:
+        return FindResult(FOUND, cursor.graph(hit[1]), hit[0] - sig_b.offset)
+    if view.cap is not None and view.cap[0] < limit:
+        raise OracleCapExceeded(view.cap[1])
+    return FindResult(BUDGET if budget is not None and total > budget else IRREDUCIBLE)
 
 
 def find_replacement(
@@ -103,9 +176,10 @@ def find_replacement(
 ) -> FindResult:
     """Strictly smaller graph with b's signature table and a non-larger offset.
 
-    Cache is consulted first; otherwise candidates are enumerated in
-    nondecreasing size with the boundary subgraph pinned, and the first hit
-    wins. c = offset(J) - offset(B) <= 0 always.
+    Cache is consulted first; otherwise the answer is the first hit of the
+    smallest-first enumeration with the boundary subgraph pinned, taken from
+    the process-wide table of representatives. c = offset(J) - offset(B) <= 0
+    always.
     """
     if tuple(sorted(b.labels)) != tuple(range(1, len(b.labels) + 1)):
         raise ValueError("boundary labels must be 1..|boundary|")
@@ -123,24 +197,10 @@ def find_replacement(
                     return FindResult(FOUND_CACHE, j, off_j - sig_b.offset)
     if b.graph.n - 1 < len(b.labels):
         return FindResult(IRREDUCIBLE)  # nothing smaller can carry the boundary
-    bsg = b.boundary_subgraph()
-    try:
-        for j in enumerate_boundaried(
-            b.graph.n - 1,
-            len(b.labels),
-            fixed_boundary_subgraph=bsg,
-            budget=budget,
-        ):
-            sig_j = compute_signature(spec, j, t)
-            if sig_j.offset is None or sig_j.offset > sig_b.offset:
-                continue
-            if sig_j.same_class(sig_b):
-                if cache is not None:
-                    cache.put(key, j, sig_j.offset)
-                return FindResult(FOUND, j, sig_j.offset - sig_b.offset)
-    except EnumerationBudgetExceeded:
-        return FindResult(BUDGET)
-    return FindResult(IRREDUCIBLE)
+    res = _search(spec, b, sig_b, budget, t)
+    if res.status == FOUND and cache is not None:
+        cache.put(key, res.j, sig_b.offset + res.c)
+    return res
 
 
 @dataclass

@@ -58,6 +58,16 @@ class TestKernelize:
         code = run("kernelize", "--problem", "vc", "--k", "1", "--input", str(bad))
         assert code == EXIT_PARSE
 
+    def test_cache_of_another_version_is_argument_error(self, tmp_path, capsys):
+        cache = tmp_path / "reps.tsv"
+        cache.write_text("#protkern-repcache 0\n")
+        code = run(
+            "kernelize", "--problem", "vc", "--k", "3", "--family", "path:40",
+            "--cache", str(cache),
+        )
+        assert code == EXIT_PARSE
+        assert "not in format" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "args",
         [

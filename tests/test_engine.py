@@ -102,6 +102,18 @@ class TestDriverLoop:
         assert a_out.graph == b_out.graph and a_out.k == b_out.k
         assert a_log.steps == b_log.steps
 
+    def test_cache_file_reused_across_runs(self, tmp_path):
+        path = tmp_path / "reps.tsv"
+        g = generate(parse_family("star-of-paths:3,12"))
+        inst = ProblemInstance(g, 4, DS)
+        first, log1 = meta_kernelize(inst, cfg(cache_path=str(path)))
+        written = path.read_bytes()
+        assert log1.steps and written
+        second, log2 = meta_kernelize(inst, cfg(cache_path=str(path)))
+        assert second.graph == first.graph and second.k == first.k
+        assert log2.steps == log1.steps
+        assert path.read_bytes() == written  # every search was a cache hit
+
     def test_sct_preprocess_runs_first(self):
         # triangle plus a pendant path: the path is cycle-free and drops out
         g = Graph.from_edges(

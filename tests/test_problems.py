@@ -100,6 +100,7 @@ class TestGetProblem:
 
     def test_ds_radius(self):
         assert get_problem("ds").params == ()
+        assert get_problem("ds", r=1) == get_problem("ds")  # radius 1 is plain ds
         assert get_problem("ds", r=2).params == (2,)
 
 

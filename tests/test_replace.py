@@ -1,8 +1,14 @@
 import itertools
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from protkern import problems, replace
 from protkern.boundaried import BoundariedGraph, enumerate_boundaried, glue
+from protkern.errors import EnumerationBudgetExceeded, OracleCapExceeded
 from protkern.graph import Graph, generate, parse_family
 from protkern.problems import (
     ProblemInstance,
@@ -13,9 +19,11 @@ from protkern.problems import (
 )
 from protkern.replace import (
     BUDGET,
+    CACHE_HEADER,
     FOUND,
     FOUND_CACHE,
     IRREDUCIBLE,
+    FindResult,
     RepCache,
     apply_replacement,
     find_replacement,
@@ -105,6 +113,14 @@ class TestSignatureKey:
         b = self.PINNED_WINDOW
         assert signature_key(spec, b, compute_signature(spec, b, 2), 2) == key
 
+    def test_ds_radius_one_is_plain_ds(self):
+        b = self.PINNED_WINDOW
+        keys = {
+            signature_key(spec, b, compute_signature(spec, b, 2), 2)
+            for spec in (get_problem("ds"), get_problem("ds", r=1))
+        }
+        assert len(keys) == 1 and keys.pop().startswith("ds[]")
+
 
 class TestFindReplacement:
     def test_p3_endpoint_shrinks(self):
@@ -141,6 +157,123 @@ class TestFindReplacement:
             res = find_replacement(DS, b)
             if res.status == FOUND:
                 assert res.c <= 0
+
+
+def reference_find_replacement(spec, b, budget=None, t=None):
+    """The enumerate-and-scan search that the table of representatives answers."""
+    sig_b = compute_signature(spec, b, t)
+    if sig_b.offset is None or b.graph.n - 1 < len(b.labels):
+        return FindResult(IRREDUCIBLE)
+    try:
+        for j in enumerate_boundaried(
+            b.graph.n - 1,
+            len(b.labels),
+            fixed_boundary_subgraph=b.boundary_subgraph(),
+            budget=budget,
+        ):
+            sig_j = compute_signature(spec, j, t)
+            if sig_j.offset is None or sig_j.offset > sig_b.offset:
+                continue
+            if (sig_j.label_set, sig_j.table, sig_j.ell) == (
+                sig_b.label_set,
+                sig_b.table,
+                sig_b.ell,
+            ):
+                return FindResult(FOUND, j, sig_j.offset - sig_b.offset)
+    except EnumerationBudgetExceeded:
+        return FindResult(BUDGET)
+    return FindResult(IRREDUCIBLE)
+
+
+def _outcome(search, spec, b, budget, t):
+    try:
+        res = search(spec, b, budget=budget, t=t)
+    except OracleCapExceeded as exc:
+        return ("raised", str(exc))
+    j = None if res.j is None else (res.j.graph.n, sorted(res.j.graph.edges), res.j.labels)
+    return (res.status, j, res.c)
+
+
+def _fresh_table(monkeypatch):
+    monkeypatch.setattr(replace, "_CURSORS", {})
+    monkeypatch.setattr(replace, "_VIEWS", {})
+
+
+def _check_against_reference(monkeypatch, queries):
+    """Each query answered through one shared table, then in reverse on a fresh one."""
+    expected = [_outcome(reference_find_replacement, *q) for q in queries]
+    for order in (range(len(queries)), reversed(range(len(queries)))):
+        _fresh_table(monkeypatch)
+        for i in order:
+            assert _outcome(find_replacement, *queries[i]) == expected[i], queries[i]
+    return expected
+
+
+class TestTableMatchesScan:
+    SPECS = [
+        get_problem("vc"),
+        get_problem("ds"),
+        get_problem("is"),
+        get_problem("scattered", r=2),
+        get_problem("cyclepacking"),
+        get_problem("sct", s=3),
+    ]
+    WINDOWS = [
+        BoundariedGraph(generate(parse_family("path:3")), (0,), (1,)),
+        BoundariedGraph(generate(parse_family("path:5")), (1,), (1,)),
+        BoundariedGraph(Graph.from_edges(5, [(0, i) for i in range(1, 5)]), (0,), (1,)),
+        BoundariedGraph(generate(parse_family("cycle:5")), (0, 1), (1, 2)),
+        BoundariedGraph(generate(parse_family("path:6")), (0, 5), (2, 1)),
+        BoundariedGraph(
+            Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]), (5,), (1,)
+        ),
+        BoundariedGraph(
+            Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 5), (2, 6)]),
+            (0, 3, 6),
+            (1, 2, 3),
+        ),
+        BoundariedGraph(
+            Graph.from_edges(
+                8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)]
+            ),
+            (0, 7),
+            (1, 2),
+        ),
+        BoundariedGraph(generate(parse_family("path:8")), (0,), (1,)),
+    ]
+
+    def test_all_problems_budgets_and_widths(self, monkeypatch):
+        # an unbudgeted scan of a 7- or 8-vertex window can take millions of
+        # raw candidates, so those windows run with budgets only
+        queries = [
+            (spec, b, budget, t)
+            for spec in self.SPECS
+            for b in self.WINDOWS
+            for budget in (1, 2, 3, 10, 200, None)
+            if budget is not None or b.graph.n <= 6
+            for t in (None, 1, 2)
+        ]
+        expected = _check_against_reference(monkeypatch, queries)
+        assert {e[0] for e in expected} == {FOUND, BUDGET, IRREDUCIBLE}
+
+    def test_candidate_over_the_oracle_cap(self, monkeypatch):
+        # under an edge cap of 3 the windows pass, but sct's scan for the
+        # distance-3 path meets a 4-edge candidate, raw index 20, before any
+        # hit: budget 20 stops short of it and budget 21 reaches it
+        monkeypatch.setattr(problems, "ORACLE_EDGE_CAP", 3)
+        windows = [
+            BoundariedGraph(Graph.from_edges(5, [(0, 2), (2, 3), (3, 1)]), (0, 1), (1, 2)),
+            BoundariedGraph(Graph.from_edges(5, [(0, 2), (2, 1)]), (0, 1), (1, 2)),
+            BoundariedGraph(Graph.from_edges(5, [(0, 2), (2, 1), (3, 4)]), (0, 1), (2, 1)),
+        ]
+        queries = [
+            (spec, b, budget, None)
+            for spec in (get_problem("cyclepacking"), get_problem("sct", s=3))
+            for b in windows
+            for budget in (3, 10, 20, 21, 200, None)
+        ]
+        expected = _check_against_reference(monkeypatch, queries)
+        assert "raised" in {e[0] for e in expected}
 
 
 class TestRepCache:
@@ -182,6 +315,92 @@ class TestRepCache:
             fh.write("torn\t1 0")
         RepCache(path).put("c", small, 2)
         assert sorted(RepCache(path).data) == ["a", "b", "c"]
+
+    def test_new_file_starts_with_version_header(self, tmp_path):
+        path = tmp_path / "reps.tsv"
+        small = one_labelled(Graph.from_edges(1, []))
+        RepCache(str(path)).put("a", small, 0)
+        header, record = path.read_text().splitlines()
+        assert header == CACHE_HEADER and record.startswith("a\t")
+        cache = RepCache(str(path))
+        assert sorted(cache.data) == ["a"] and cache.skipped == 0
+
+    def test_other_version_fails_loudly(self, tmp_path):
+        path = tmp_path / "reps.tsv"
+        path.write_text("#protkern-repcache 0\na\t1 0 1\t0\n")
+        with pytest.raises(ValueError, match="not in format"):
+            RepCache(str(path))
+
+    def test_headerless_file_loads_and_stays_headerless(self, tmp_path):
+        path = tmp_path / "reps.tsv"
+        path.write_text("a\t1 0 1\t0\n")
+        cache = RepCache(str(path))
+        assert sorted(cache.data) == ["a"] and cache.skipped == 0
+        cache.put("b", one_labelled(Graph.from_edges(1, [])), 1)
+        assert path.read_text() == "a\t1 0 1\t0\nb\t1 0 1\t1\n"
+
+    # a record: unique key, small boundaried graph, offset
+    RECORD = st.tuples(
+        st.text("abcxyz|=[]; \u00e9\u2028\x0b\r", min_size=1, max_size=8),
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+                st.integers(0, n),
+            )
+        ),
+        st.integers(-3, 3),
+    )
+    # a bad line: anything without a newline that cannot split into three
+    # fields, or three fields whose graph has no digits
+    BAD = st.one_of(
+        st.binary(max_size=24).filter(
+            lambda b: b"\n" not in b and b.count(b"\t") != 2 and not b.startswith(b"#")
+        ),
+        st.text("ab;x ", max_size=6).map(lambda g: f"k\t{g}\t0".encode()),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        items=st.lists(st.one_of(RECORD.map(lambda r: ("rec", r)), BAD.map(lambda b: ("bad", b)))),
+        header=st.booleans(),
+        tail=st.binary(max_size=12).filter(lambda b: b"\n" not in b),
+    )
+    def test_fuzzed_file(self, items, header, tail):
+        lines, records, bad = [], {}, 0
+        if header:
+            lines.append(CACHE_HEADER.encode())
+        for kind, item in items:
+            if kind == "bad":
+                lines.append(item)
+                bad += 1
+                continue
+            key, (n, pairs, nlab), off = item
+            key = "k" + key  # never a header
+            if key in records:
+                continue
+            g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+            records[key] = (g, off)
+            edges = ";".join(f"{u} {v}" for u, v in sorted(g.edges))
+            lines.append(f"{key}\t{n} {g.m} {nlab}{';' if edges else ''}{edges}\t{off}".encode())
+        content = b"".join(line + b"\n" for line in lines) + tail
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "reps.tsv")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            cache = RepCache(path)
+            assert {k: (bg.graph, off) for k, (bg, off) in cache.data.items()} == records
+            assert cache.skipped == bad + (tail != b"")
+            with open(path, "rb") as fh:
+                assert fh.read() == content  # loading never rewrites the file
+            extra = one_labelled(generate(parse_family("path:2")))
+            cache.put("late", extra, 2)
+            again = RepCache(path)
+            assert again.get("late")[0].graph == extra.graph and again.get("late")[1] == 2
+            assert {k: again.data[k][0].graph for k in records} == {
+                k: g for k, (g, _) in records.items()
+            }
+            assert again.skipped == cache.skipped
 
     def test_stale_entry_revalidated(self, tmp_path):
         path = str(tmp_path / "reps.tsv")
