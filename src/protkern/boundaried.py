@@ -237,8 +237,8 @@ class ClassCursor:
 
     def raw_count(self, max_vertices: int) -> int:
         """Number of raw candidates with at most max_vertices vertices."""
-        pinned = self.bsg.n * (self.bsg.n - 1) // 2
-        return sum(1 << n * (n - 1) // 2 - pinned for n in range(self.bsg.n, max_vertices + 1))
+        fixed = self.bsg.n * (self.bsg.n - 1) // 2  # boundary pairs
+        return sum(1 << n * (n - 1) // 2 - fixed for n in range(self.bsg.n, max_vertices + 1))
 
     def advance(self, stop: int) -> bool:
         """Consume raw candidates until a new class is met or `stop` are consumed."""

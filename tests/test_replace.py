@@ -224,6 +224,7 @@ class TestTableMatchesScan:
         BoundariedGraph(Graph.from_edges(5, [(0, i) for i in range(1, 5)]), (0,), (1,)),
         BoundariedGraph(generate(parse_family("cycle:5")), (0, 1), (1, 2)),
         BoundariedGraph(generate(parse_family("path:6")), (0, 5), (2, 1)),
+        BoundariedGraph(generate(parse_family("path:5")), (0, 1, 3, 4), (1, 3, 2, 4)),
         BoundariedGraph(
             Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]), (5,), (1,)
         ),
