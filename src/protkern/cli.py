@@ -7,7 +7,7 @@ import json
 import sys
 import time
 
-from .engine import EngineConfig, meta_kernelize, verify_kernel
+from .engine import DEFAULT_ENUM_BUDGET, EngineConfig, meta_kernelize, verify_kernel
 from .errors import EdgeListParseError, OracleCapExceeded, TooLargeForExactTreewidth
 from .graph import generate, parse_edge_list, parse_family, write_edge_list
 from .problems import PROBLEM_IDS, ProblemInstance, get_problem
@@ -101,9 +101,9 @@ def _add_problem_args(p):
 def _add_engine_args(p):
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--r-search", type=int, default=None, dest="r_search")
-    p.add_argument("--split-c", type=int, default=5, dest="split_c")
+    p.add_argument("--split-c", type=int, default=EngineConfig.split_c, dest="split_c")
     p.add_argument("--size-threshold", type=int, default=None, dest="size_threshold")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--cache", default=None)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .boundaried import CANONIZATION_CAP, canonical_code, split
+from .boundaried import CANONIZATION_CAP, split
 from .errors import CanonizationCapExceeded, OracleCapExceeded
 from .graph import Graph, articulation_points, distances_from
 from .problems import MAX, ProblemInstance, ProblemSpec, decide, has_signature, sct_preprocess
@@ -34,6 +34,11 @@ class EngineConfig:
             raise ValueError(f"split_c must be between 1 and {CANONIZATION_CAP - 1}")
         if self.r_search is None:
             self.r_search = 2 * self.t
+        # no cut set or no candidate would ever be tried
+        if self.r_search < 1:
+            raise ValueError("r_search must be at least 1")
+        if self.enum_budget < 1:
+            raise ValueError("enum_budget must be at least 1")
         if self.size_threshold is None:
             self.size_threshold = 4 * self.split_c + 2 * (2 * self.t + 1)
         if self.size_threshold <= 2 * self.split_c:
@@ -111,9 +116,13 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
             return trivial_instance(spec), log
         return inst, log
 
-    cache = RepCache(cfg.cache_path)
-    stuck: set[bytes] = set()
-    warned_components = set()
+    cache = RepCache(cfg.cache_path) if cfg.cache_path else None
+    warned: set[str] = set()
+
+    def warn(text: str):
+        if text not in warned:
+            warned.add(text)
+            log.warnings.append(text)
 
     while True:
         if inst.k < 0:
@@ -125,39 +134,30 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
             Rset = frozenset(R)
             xr = compute_xr(inst.graph, Rset)
             for w in xr.warnings:
-                if w not in warned_components:
-                    warned_components.add(w)
-                    log.warnings.append(w)
+                warn(w)
             if len(xr.X) < cfg.size_threshold:
                 continue
             p = xr_protrusion(inst.graph, Rset, xr)
             try:
-                y = split_protrusion(inst.graph, p, cfg.split_c)
+                y = split_protrusion(p, cfg.split_c)
             except ValueError:
                 continue
-            b = split(inst.graph, y.X).g_x
-            try:
-                code = canonical_code(b)
-            except CanonizationCapExceeded:
-                continue
-            if code in stuck:
-                continue
+            b = split(inst.graph, y).g_x
             try:
                 res = find_replacement(
                     spec, b, cache=cache, budget=cfg.enum_budget, t=cfg.t
                 )
-            except OracleCapExceeded:
-                stuck.add(code)
+            except (CanonizationCapExceeded, OracleCapExceeded):
                 continue
             if res.status in (FOUND, FOUND_CACHE):
                 before = inst
-                ap = apply_replacement(inst, y.X, res.j, res.c)
+                ap = apply_replacement(inst, y, res.j, res.c)
                 inst = ap.instance
                 log.steps.append(
                     {
                         "R": sorted(Rset),
                         "xr_size": len(xr.X),
-                        "Y": sorted(y.X),
+                        "Y": sorted(y),
                         "replacement": {"n": res.j.graph.n, "m": res.j.graph.m},
                         "c": res.c,
                         "n_before": before.graph.n,
@@ -168,11 +168,8 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
                 )
                 fired = True
                 break
-            stuck.add(code)
             if res.status == BUDGET:
-                log.warnings.append(
-                    f"replacement search for a {b.graph.n}-vertex window hit the budget"
-                )
+                warn(f"replacement search for a {b.graph.n}-vertex window hit the budget")
         if not fired:
             return inst, log
 

@@ -103,8 +103,9 @@ def xr_protrusion(g: Graph, R, xr: XRResult) -> Protrusion:
 # splitting an oversized protrusion (small-window extraction)
 
 
-def split_protrusion(g: Graph, p: Protrusion, c: int) -> Protrusion:
-    """Extract a (2t+1)-protrusion Y with c < |Y| <= 2c from an oversized one.
+def split_protrusion(p: Protrusion, c: int) -> frozenset[int]:
+    """Vertex set Y of a (2t+1)-protrusion with c < |Y| <= 2c inside an
+    oversized protrusion.
 
     Walks a rooted nice decomposition of G[X] to the deepest node whose
     subtree (together with bd(X)) covers more than c vertices; ties break to
@@ -114,9 +115,8 @@ def split_protrusion(g: Graph, p: Protrusion, c: int) -> Protrusion:
         raise ValueError("split target c must be positive")
     if len(p.X) <= c:
         raise ValueError("protrusion is not larger than c")
-    t_out = 2 * p.t + 1
     if len(p.X) <= 2 * c:
-        return Protrusion(p.X, p.boundary, t_out, p.witness)
+        return p.X
 
     nice = make_nice(p.witness)
     back = sorted(p.X)
@@ -149,26 +149,7 @@ def split_protrusion(g: Graph, p: Protrusion, c: int) -> Protrusion:
         raise ValueError(
             f"cannot extract a window in ({c}, {2 * c}] from this protrusion"
         )
-    # witness: subtree bags augmented with bd(X), restricted to Y's subgraph
-    sub_nodes = []
-    stack = [b]
-    while stack:
-        u = stack.pop()
-        sub_nodes.append(u)
-        stack.extend(ch[u])
-    y_host = frozenset(back[v] for v in y_local)
-    sub, rank = induced_subgraph(g, y_host)
-    node_pos = {u: i for i, u in enumerate(sub_nodes)}
-    bags = []
-    parent: list = []
-    for u in sub_nodes:
-        bag = frozenset(
-            rank[back[v]] for v in (set(nice.bags[u]) | set(bd_local))
-        )
-        bags.append(bag)
-        parent.append(node_pos[nice.parent[u]] if u != b else None)
-    witness = TreeDecomposition(sub, tuple(parent), tuple(bags))
-    return Protrusion(y_host, boundary_of(g, y_host), t_out, witness)
+    return frozenset(back[v] for v in y_local)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ class RepCache:
             self._torn = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class FindResult:
     status: str  # found | found-cache | irreducible | budget
     j: BoundariedGraph | None = None
@@ -117,25 +117,26 @@ class _View:
     kept: dict = field(default_factory=dict)
     states: dict = field(default_factory=dict)  # one shared tuple per table state list
     cap: tuple[int, str] | None = None  # raw index and message of an OracleCapExceeded
+    # (window code, budget) -> the table's FindResult, or an OracleCapExceeded message
+    answers: dict = field(default_factory=dict)
 
 
 # The table of representatives: one class cursor per (|B|, boundary subgraph),
 # shared by every problem, and one view per (spec, t) on it.  It lives for the
-# process, so later kernelizations reuse the classes and signatures earlier
-# ones took.  Not thread-safe, like RepCache.
+# process, so later kernelizations reuse the classes, signatures and window
+# answers earlier ones took.  Not thread-safe, like RepCache.
 _CURSORS: dict[tuple[int, frozenset], ClassCursor] = {}
 _VIEWS: dict[tuple, _View] = {}
 
 
-def _search(spec: ProblemSpec, b: BoundariedGraph, sig_b: Signature, budget, t) -> FindResult:
-    """From the table, the first enumerated candidate with fewer vertices than
-    b, b's class and an offset no larger.  The budget counts raw candidates as
-    enumerate_boundaried does; an OracleCapExceeded met on the way is raised."""
-    bsg = b.boundary_subgraph()
+def _search(spec: ProblemSpec, t, view: _View, bsg: Graph, n: int, sig_b: Signature, budget) -> FindResult:
+    """From the table, the first enumerated candidate with fewer than n
+    vertices, boundary subgraph bsg, sig_b's class and an offset no larger.
+    The budget counts raw candidates as enumerate_boundaried does; an
+    OracleCapExceeded met on the way is raised."""
     where = (bsg.n, bsg.edges)
     cursor = _CURSORS.get(where) or _CURSORS.setdefault(where, ClassCursor(bsg))
-    view = _VIEWS.get((spec, t) + where) or _VIEWS.setdefault((spec, t) + where, _View())
-    total = cursor.raw_count(b.graph.n - 1)
+    total = cursor.raw_count(n - 1)
     limit = total if budget is None else min(budget, total)
     want = sig_b.class_key()
     hit = next(((off, i) for off, i in view.kept.get(want, ()) if off <= sig_b.offset), None)
@@ -176,18 +177,32 @@ def find_replacement(
 ) -> FindResult:
     """Strictly smaller graph with b's signature table and a non-larger offset.
 
-    Cache is consulted first; otherwise the answer is the first hit of the
-    smallest-first enumeration with the boundary subgraph pinned, taken from
-    the process-wide table of representatives. c = offset(J) - offset(B) <= 0
-    always.
+    The answer is the first hit of the smallest-first enumeration with the
+    boundary subgraph pinned, taken from the process-wide table of
+    representatives, which remembers it per (canonical code of b, budget); an
+    OracleCapExceeded is remembered and raised again.  A cache is consulted
+    before the table, except for a remembered IRREDUCIBLE, BUDGET or oracle
+    cap; its hits are not remembered.  c = offset(J) - offset(B) <= 0 always.
+    Raises CanonizationCapExceeded for b over CANONIZATION_CAP vertices.
     """
     if tuple(sorted(b.labels)) != tuple(range(1, len(b.labels) + 1)):
         raise ValueError("boundary labels must be 1..|boundary|")
-    sig_b = compute_signature(spec, b, t)
-    if sig_b.offset is None:
-        return FindResult(IRREDUCIBLE)
-    key = signature_key(spec, b, sig_b, t)
-    if cache is not None:
+    ask = (canonical_code(b), budget)
+    bsg = b.boundary_subgraph()
+    at = (spec, t, bsg.n, bsg.edges)
+    view = _VIEWS.get(at) or _VIEWS.setdefault(at, _View())
+    known = view.answers.get(ask)
+    if isinstance(known, str):
+        raise OracleCapExceeded(known)
+    if known is not None and (cache is None or known.status != FOUND):
+        return known
+    try:
+        sig_b = compute_signature(spec, b, t)
+    except OracleCapExceeded as exc:
+        view.answers[ask] = str(exc)
+        raise
+    if cache is not None and sig_b.offset is not None:
+        key = signature_key(spec, b, sig_b, t)
         hit = cache.get(key)
         if hit is not None:
             j, off_j = hit
@@ -195,9 +210,15 @@ def find_replacement(
                 sig_j = compute_signature(spec, j, t)
                 if sig_j.same_class(sig_b) and sig_j.offset == off_j:
                     return FindResult(FOUND_CACHE, j, off_j - sig_b.offset)
-    if b.graph.n - 1 < len(b.labels):
-        return FindResult(IRREDUCIBLE)  # nothing smaller can carry the boundary
-    res = _search(spec, b, sig_b, budget, t)
+    if sig_b.offset is None or b.graph.n - 1 < len(b.labels):
+        res = FindResult(IRREDUCIBLE)  # no class, or nothing smaller carries the boundary
+    else:
+        try:
+            res = _search(spec, t, view, bsg, b.graph.n, sig_b, budget)
+        except OracleCapExceeded as exc:
+            view.answers[ask] = str(exc)
+            raise
+    view.answers[ask] = res
     if res.status == FOUND and cache is not None:
         cache.put(key, res.j, sig_b.offset + res.c)
     return res

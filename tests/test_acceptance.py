@@ -200,12 +200,12 @@ def test_03_window_extraction_contract():
         c = rng.randrange(5, 9)
         p = is_protrusion(g, X, t, vertex_cap=64)
         assert p is not None
-        y = split_protrusion(g, p, c)
-        sub, _ = induced_subgraph(g, y.X)
+        y = split_protrusion(p, c)
+        sub, _ = induced_subgraph(g, y)
         ok = (
-            c < len(y.X) <= 2 * c
-            and len(boundary_of(g, y.X)) <= 2 * t + 1
-            and is_protrusion(g, y.X, 2 * t + 1, vertex_cap=64) is not None
+            c < len(y) <= 2 * c
+            and len(boundary_of(g, y)) <= 2 * t + 1
+            and is_protrusion(g, y, 2 * t + 1, vertex_cap=64) is not None
             and decide_tw_leq(sub, 2 * t) is not None
         )
         if not ok:

@@ -1,5 +1,6 @@
 import pytest
 
+from protkern import replace
 from protkern.engine import (
     EngineConfig,
     meta_kernelize,
@@ -7,7 +8,7 @@ from protkern.engine import (
     verify_kernel,
 )
 from protkern.graph import Graph, generate, parse_family
-from protkern.problems import ProblemInstance, decide, get_problem
+from protkern.problems import ProblemInstance, compute_signature, decide, get_problem
 
 VC = get_problem("vc")
 DS = get_problem("ds")
@@ -16,6 +17,11 @@ DS = get_problem("ds")
 def cfg(**kw):
     kw.setdefault("t", 1)
     return EngineConfig(**kw)
+
+
+def fresh_table(monkeypatch):
+    monkeypatch.setattr(replace, "_CURSORS", {})
+    monkeypatch.setattr(replace, "_VIEWS", {})
 
 
 class TestConfig:
@@ -40,6 +46,13 @@ class TestConfig:
 
     def test_accepts_largest_canonizable_split_c(self):
         assert EngineConfig(t=1, split_c=9).size_threshold == 42
+
+    @pytest.mark.parametrize("field", ["r_search", "enum_budget"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_settings_that_never_reduce(self, field, value):
+        # vc on path:40 at k = 20 would otherwise return 0 steps
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(t=1, **{field: value})
 
 
 class TestTrivialInstances:
@@ -102,7 +115,7 @@ class TestDriverLoop:
         assert a_out.graph == b_out.graph and a_out.k == b_out.k
         assert a_log.steps == b_log.steps
 
-    def test_cache_file_reused_across_runs(self, tmp_path):
+    def test_cache_file_reused_across_runs(self, tmp_path, monkeypatch):
         path = tmp_path / "reps.tsv"
         g = generate(parse_family("star-of-paths:3,12"))
         inst = ProblemInstance(g, 4, DS)
@@ -113,6 +126,27 @@ class TestDriverLoop:
         assert second.graph == first.graph and second.k == first.k
         assert log2.steps == log1.steps
         assert path.read_bytes() == written  # every search was a cache hit
+        fresh_table(monkeypatch)
+        third, log3 = meta_kernelize(inst, cfg())
+        assert (third.graph, third.k) == (first.graph, first.k)
+        assert log3.steps == log1.steps  # the file changed no kernel
+
+    def test_windows_are_remembered(self, monkeypatch):
+        fresh_table(monkeypatch)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return compute_signature(*args, **kwargs)
+
+        monkeypatch.setattr(replace, "compute_signature", counted)
+        inst = ProblemInstance(generate(parse_family("star-of-paths:3,12")), 4, DS)
+        first, log1 = meta_kernelize(inst, cfg())
+        assert calls and log1.steps
+        calls.clear()
+        second, log2 = meta_kernelize(inst, cfg())
+        assert calls == []
+        assert (second.graph, second.k, log2.steps) == (first.graph, first.k, log1.steps)
 
     def test_sct_preprocess_runs_first(self):
         # triangle plus a pendant path: the path is cycle-free and drops out

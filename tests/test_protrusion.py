@@ -161,29 +161,27 @@ class TestSplitProtrusion:
         g = pendant_path_host()
         p = is_protrusion(g, frozenset(range(9, 21)) | {0}, 1)
         for c in (5, 6):
-            y = split_protrusion(g, p, c)
-            assert c < len(y.X) <= 2 * c
-            assert len(boundary_of(g, y.X)) <= 2 * p.t + 1
-            assert validate(y.witness) == []
-            assert width(y.witness) <= 2 * p.t + 1
+            y = split_protrusion(p, c)
+            assert c < len(y) <= 2 * c
+            assert len(boundary_of(g, y)) <= 2 * p.t + 1
+            assert is_protrusion(g, y, 2 * p.t + 1) is not None
 
     def test_small_protrusion_returned_whole(self):
         g = generate(parse_family("path:8"))
         p = is_protrusion(g, set(range(4)), 1)
-        y = split_protrusion(g, p, 3)
-        assert y.X == p.X and y.t == 2 * p.t + 1
+        assert split_protrusion(p, 3) == p.X
 
     def test_rejects_undersized(self):
         g = generate(parse_family("path:8"))
         p = is_protrusion(g, set(range(3)), 1)
         with pytest.raises(ValueError):
-            split_protrusion(g, p, 3)
+            split_protrusion(p, 3)
 
     def test_independent_recheck(self):
         g = pendant_path_host()
         p = is_protrusion(g, frozenset(range(9, 21)) | {0}, 1)
-        y = split_protrusion(g, p, 5)
-        assert is_protrusion(g, y.X, 2 * p.t + 1) is not None
+        y = split_protrusion(p, 5)
+        assert is_protrusion(g, y, 2 * p.t + 1) is not None
 
 
 class TestPartitionProtrusion:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from protkern import problems, replace
 from protkern.boundaried import BoundariedGraph, enumerate_boundaried, glue
-from protkern.errors import EnumerationBudgetExceeded, OracleCapExceeded
+from protkern.errors import CanonizationCapExceeded, EnumerationBudgetExceeded, OracleCapExceeded
 from protkern.graph import Graph, generate, parse_family
 from protkern.problems import (
     ProblemInstance,
@@ -275,6 +275,49 @@ class TestTableMatchesScan:
         ]
         expected = _check_against_reference(monkeypatch, queries)
         assert "raised" in {e[0] for e in expected}
+
+
+class TestRememberedAnswers:
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 2), (2, 3), (3, 1), (3, 4), (4, 0)],  # the window is over the cap
+            [(0, 2), (2, 3), (3, 1)],  # its search meets a candidate over the cap
+        ],
+    )
+    def test_oracle_cap_raised_again_without_a_signature(self, monkeypatch, edges):
+        _fresh_table(monkeypatch)
+        monkeypatch.setattr(problems, "ORACLE_EDGE_CAP", 3)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return compute_signature(*args, **kwargs)
+
+        monkeypatch.setattr(replace, "compute_signature", counted)
+        b = BoundariedGraph(Graph.from_edges(5, edges), (0, 1), (1, 2))
+        sct = get_problem("sct", s=3)
+        with pytest.raises(OracleCapExceeded) as first:
+            find_replacement(sct, b)
+        assert calls
+        calls.clear()
+        with pytest.raises(OracleCapExceeded) as again:
+            find_replacement(sct, b)
+        assert calls == [] and str(again.value) == str(first.value)
+
+    def test_window_over_the_canonization_cap(self):
+        b = one_labelled(generate(parse_family("path:11")))
+        with pytest.raises(CanonizationCapExceeded):
+            find_replacement(VC, b)
+
+    def test_file_hits_are_not_remembered(self, monkeypatch, tmp_path):
+        b = one_labelled(generate(parse_family("path:3")))
+        path = str(tmp_path / "reps.tsv")
+        find_replacement(VC, b, cache=RepCache(path))
+        _fresh_table(monkeypatch)
+        hit = find_replacement(VC, b, cache=RepCache(path))
+        assert hit.status == FOUND_CACHE
+        assert find_replacement(VC, b) == FindResult(FOUND, hit.j, hit.c)
 
 
 class TestRepCache:
