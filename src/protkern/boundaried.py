@@ -225,8 +225,7 @@ class ClassCursor:
     """Resumable `enumerate_boundaried` over one pinned boundary subgraph.
 
     Same order, with no size bound: `classes[i]` is the i-th class met, as
-    (raw index, vertex count, edge mask), where edge (u, v), u < v, is bit
-    v(v-1)/2 + u. Not thread-safe.
+    (raw index, vertex count, edge_mask). Not thread-safe.
     """
 
     def __init__(self, boundary_subgraph: Graph):
@@ -254,14 +253,24 @@ class ClassCursor:
                 raise
             self.scanned += 1
             if bg is not None:
-                mask = sum(1 << v * (v - 1) // 2 + u for u, v in bg.graph.edges)
-                self.classes.append((self.scanned - 1, bg.graph.n, mask))
+                self.classes.append((self.scanned - 1, bg.graph.n, edge_mask(bg.graph)))
                 return True
         return False
 
     def graph(self, i: int) -> BoundariedGraph:
         """The representative of class i."""
         _, n, mask = self.classes[i]
-        edges = [(u, v) for v in range(n) for u in range(v) if mask >> v * (v - 1) // 2 + u & 1]
-        labels = tuple(range(1, self.bsg.n + 1))
-        return BoundariedGraph(Graph.from_edges(n, edges), tuple(range(self.bsg.n)), labels)
+        return from_mask(n, mask, self.bsg.n)
+
+
+def edge_mask(g: Graph) -> int:
+    """g's edges as an int: edge (u, v), u < v, is bit v(v-1)/2 + u."""
+    return sum(1 << v * (v - 1) // 2 + u for u, v in g.edges)
+
+
+def from_mask(n: int, mask: int, label_count: int) -> BoundariedGraph:
+    """The n-vertex graph with edge mask `mask`, boundary 0..label_count-1
+    labeled 1..label_count."""
+    edges = [(u, v) for v in range(n) for u in range(v) if mask >> v * (v - 1) // 2 + u & 1]
+    labels = tuple(range(1, label_count + 1))
+    return BoundariedGraph(Graph.from_edges(n, edges), tuple(range(label_count)), labels)

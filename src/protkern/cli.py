@@ -104,7 +104,7 @@ def _add_engine_args(p):
     p.add_argument("--split-c", type=int, default=EngineConfig.split_c, dest="split_c")
     p.add_argument("--size-threshold", type=int, default=None, dest="size_threshold")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--cache", default=None)
+    p.add_argument("--cache", default=None, help="replacement answer file; changes no kernel")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     except (OracleCapExceeded, TooLargeForExactTreewidth) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPS
-    except (EdgeListParseError, FileNotFoundError, ValueError) as exc:
+    except (EdgeListParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

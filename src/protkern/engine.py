@@ -10,7 +10,7 @@ from .errors import CanonizationCapExceeded, OracleCapExceeded
 from .graph import Graph, articulation_points, distances_from
 from .problems import MAX, ProblemInstance, ProblemSpec, decide, has_signature, sct_preprocess
 from .protrusion import compute_xr, split_protrusion, xr_protrusion
-from .replace import BUDGET, FOUND, FOUND_CACHE, RepCache, apply_replacement, find_replacement
+from .replace import BUDGET, FOUND, RepCache, apply_replacement, find_replacement
 
 EXHAUSTIVE_SCAN_LIMIT = 64  # above this, candidate cut sets are heuristic
 DEFAULT_ENUM_BUDGET = 20000
@@ -149,7 +149,7 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
                 )
             except (CanonizationCapExceeded, OracleCapExceeded):
                 continue
-            if res.status in (FOUND, FOUND_CACHE):
+            if res.status == FOUND:
                 before = inst
                 ap = apply_replacement(inst, y, res.j, res.c)
                 inst = ap.instance

@@ -124,15 +124,15 @@ class FamilySpec:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
 
-FAMILY_KINDS = (
-    "grid",
-    "path",
-    "cycle",
-    "star-of-paths",
-    "grid-with-pendant-paths",
-    "disjoint-union",
-    "random-sparse",
-)
+# kind -> accepted parameter counts and the form they take
+FAMILY_FORMS = {
+    "grid": ((2,), "grid:A,B"),
+    "path": ((1,), "path:N"),
+    "cycle": ((1,), "cycle:N"),
+    "star-of-paths": ((2,), "star-of-paths:K,LENGTH"),
+    "grid-with-pendant-paths": ((4,), "grid-with-pendant-paths:A,B,NPATHS,LENGTH"),
+    "random-sparse": ((1, 2), "random-sparse:N[,PERCENT]"),
+}
 
 
 def parse_family(text: str, seed: int = 0) -> FamilySpec:
@@ -141,9 +141,12 @@ def parse_family(text: str, seed: int = 0) -> FamilySpec:
         parts = tuple(parse_family(p, seed) for p in text.split("+"))
         return FamilySpec("disjoint-union", (), seed, parts)
     kind, _, rest = text.partition(":")
-    if kind not in FAMILY_KINDS:
+    if kind not in FAMILY_FORMS:
         raise ValueError(f"unknown family kind '{kind}'")
     params = tuple(int(x) for x in rest.split(",")) if rest else ()
+    counts, form = FAMILY_FORMS[kind]
+    if len(params) not in counts:
+        raise ValueError(f"family '{kind}' takes the form {form}")
     return FamilySpec(kind, params, seed)
 
 

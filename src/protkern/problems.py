@@ -85,22 +85,6 @@ class Signature:
     table: dict
     ell: dict | None = None  # boundary distance matrix, scattered problems only
 
-    def serialize(self) -> str:
-        def val(v):
-            if v == INF:
-                return "inf"
-            if v == -INF:
-                return "-inf"
-            return str(v)
-
-        items = ";".join(f"{k}={val(v)}" for k, v in sorted(self.table.items()))
-        out = f"labels={sorted(self.label_set)}|table={items}"
-        if self.ell is not None:
-            out += "|ell=" + ";".join(
-                f"{k}:{val(v)}" for k, v in sorted(self.ell.items())
-            )
-        return out
-
     def class_key(self) -> tuple:
         """Hashable (label set, table states, table values, ell); offsets may differ."""
         states = tuple(sorted(self.table))

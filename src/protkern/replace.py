@@ -3,106 +3,80 @@
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
-from .boundaried import BoundariedGraph, ClassCursor, canonical_code, glue, split
+from .boundaried import BoundariedGraph, ClassCursor, canonical_code, edge_mask, from_mask, glue, split
 from .errors import OracleCapExceeded
 from .graph import Graph
-from .problems import ProblemInstance, ProblemSpec, Signature, compute_signature
+from .problems import ProblemInstance, ProblemSpec, compute_signature
 
 FOUND = "found"
-FOUND_CACHE = "found-cache"
 IRREDUCIBLE = "irreducible"
 BUDGET = "budget"
 
 
-def signature_key(spec: ProblemSpec, b: BoundariedGraph, sig: Signature, t: int | None) -> str:
-    """Key identifying the replacement-equivalence class of b."""
-    bsg = b.boundary_subgraph()
-    code = canonical_code(
-        BoundariedGraph(bsg, tuple(range(bsg.n)), tuple(range(1, bsg.n + 1)))
-    ).hex()
-    params = ",".join(map(str, spec.params))
-    return f"{spec.id}[{params}]t={t}|bsg={code}|{sig.serialize()}"
-
-
-def _encode_graph(b: BoundariedGraph) -> str:
-    parts = [f"{b.graph.n} {b.graph.m} {len(b.labels)}"]
-    parts.extend(f"{u} {v}" for u, v in sorted(b.graph.edges))
-    return ";".join(parts)
-
-
-def _decode_graph(text: str) -> BoundariedGraph:
-    parts = text.split(";")
-    n, m, nlab = (int(x) for x in parts[0].split())
-    edges = [tuple(int(x) for x in p.split()) for p in parts[1:]]
-    if len(edges) != m:
-        raise ValueError("edge count mismatch")
-    g = Graph.from_edges(n, edges)
-    return BoundariedGraph(g, tuple(range(nlab)), tuple(range(1, nlab + 1)))
-
-
-CACHE_HEADER = "#protkern-repcache 1"  # bump when signature_key or the records change
+CACHE_HEADER = "#protkern-repcache 2"  # bump when canonical_code, a table or the records change
+# numbers are bounded because int() refuses very long digit strings
+_ANSWER = re.compile(r"found [0-9]{1,18} [0-9]{1,18} -?[0-9]{1,18}|irreducible|budget|cap .+", re.ASCII)
 
 
 class RepCache:
-    """File-backed map from class key to the smallest known representative.
+    """File journal of the table of representatives' answers.
 
-    A new file starts with CACHE_HEADER; another version's header raises
-    ValueError, and a headerless file loads as this version.  Records are
-    appended as "key TAB graph TAB offset" lines.  Loading skips and counts
-    lines that do not parse and a torn final line with no newline, and never
-    rewrites the file; a put after a torn tail starts a new line.
+    A record is one line: the key fields "id[params]", t, the boundary
+    subgraph as "n edge_mask", the window's canonical code in hex and the
+    budget, then the answer, all separated by tabs.  The answer is
+    "found n edge_mask c", "irreducible", "budget" or "cap <message>".  A new
+    file starts with CACHE_HEADER; a non-empty file that does not is refused
+    with ValueError.  Loading skips and counts lines that do not parse and a
+    torn final line with no newline, keeps the last record of a key, and never
+    rewrites the file.  Each record is one O_APPEND write, after a newline if
+    the file is torn.
     """
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str):
         self.path = path
-        self.data: dict[str, tuple[BoundariedGraph, int]] = {}
+        self.data: dict[str, str] = {}  # key -> answer
         self.skipped = 0  # unparsable lines seen by the load
-        self._torn = False  # the file does not end in a newline
-        if path and os.path.exists(path):
+        if os.path.exists(path):
             self._load()
 
     def _load(self):
-        with open(self.path, encoding="utf-8", errors="replace", newline="") as fh:
-            lines = fh.read().split("\n")
-        self._torn = lines.pop() != ""
-        self.skipped += self._torn
-        if lines and lines[0].startswith(CACHE_HEADER.split()[0]):
-            if lines.pop(0).strip() != CACHE_HEADER:
-                raise ValueError(f"replacement cache {self.path} is not in format {CACHE_HEADER!r}")
-        for line in lines:
-            try:
-                key, enc, off = line.split("\t")
-                self._remember(key, _decode_graph(enc), int(off))
-            except (ValueError, IndexError):
+        with open(self.path, "rb") as fh:
+            text = fh.read().decode("utf-8", errors="replace")
+        lines = text.split("\n")
+        if text and lines[0] != CACHE_HEADER:
+            raise ValueError(f"replacement cache {self.path} is not in format {CACHE_HEADER!r}")
+        self.skipped += lines.pop() != ""  # a torn last line
+        for line in lines[1:]:
+            key, _, answer = line.rpartition("\t")
+            if key.count("\t") == 4 and _ANSWER.fullmatch(answer):
+                self.data[key] = answer
+            else:
                 self.skipped += 1
 
-    def _remember(self, key: str, bg: BoundariedGraph, offset: int) -> bool:
-        cur = self.data.get(key)
-        if cur is not None and cur[0].graph.n <= bg.graph.n:
-            return False
-        self.data[key] = (bg, offset)
-        return True
-
-    def get(self, key: str):
-        return self.data.get(key)
-
-    def put(self, key: str, bg: BoundariedGraph, offset: int):
-        if self._remember(key, bg, offset) and self.path:
-            record = f"{key}\t{_encode_graph(bg)}\t{offset}\n"
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if fh.tell() == 0:
-                    record = f"{CACHE_HEADER}\n{record}"
-                elif self._torn:
-                    record = "\n" + record
-                fh.write(record)
-            self._torn = False
+    def put(self, key: str, answer: str):
+        """Append the record, unless it is already the key's last one."""
+        if self.data.get(key) == answer:
+            return
+        record = f"{key}\t{answer}\n"
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            size = os.fstat(fd).st_size
+            if size == 0:
+                record = f"{CACHE_HEADER}\n{record}"
+            elif os.pread(fd, 1, size - 1) != b"\n":
+                record = "\n" + record  # the file is torn
+            os.write(fd, record.encode())
+        finally:
+            os.close(fd)
+        self.data[key] = answer
 
 
 @dataclass(frozen=True)
 class FindResult:
-    status: str  # found | found-cache | irreducible | budget
+    status: str  # found | irreducible | budget
     j: BoundariedGraph | None = None
     c: int = 0
 
@@ -124,19 +98,25 @@ class _View:
 # The table of representatives: one class cursor per (|B|, boundary subgraph),
 # shared by every problem, and one view per (spec, t) on it.  It lives for the
 # process, so later kernelizations reuse the classes, signatures and window
-# answers earlier ones took.  Not thread-safe, like RepCache.
+# answers earlier ones took.  Not thread-safe.
 _CURSORS: dict[tuple[int, frozenset], ClassCursor] = {}
 _VIEWS: dict[tuple, _View] = {}
 
 
-def _search(spec: ProblemSpec, t, view: _View, bsg: Graph, n: int, sig_b: Signature, budget) -> FindResult:
-    """From the table, the first enumerated candidate with fewer than n
-    vertices, boundary subgraph bsg, sig_b's class and an offset no larger.
-    The budget counts raw candidates as enumerate_boundaried does; an
-    OracleCapExceeded met on the way is raised."""
+def _search(spec: ProblemSpec, t, view: _View, b: BoundariedGraph, bsg: Graph, budget):
+    """The table's answer for window b: the first enumerated candidate with
+    fewer vertices, boundary subgraph bsg, b's class and an offset no larger,
+    or the message of an OracleCapExceeded met on the way.  The budget counts
+    raw candidates as enumerate_boundaried does."""
+    try:
+        sig_b = compute_signature(spec, b, t)
+    except OracleCapExceeded as exc:
+        return str(exc)
+    if sig_b.offset is None or b.graph.n - 1 < len(b.labels):
+        return FindResult(IRREDUCIBLE)  # no class, or nothing smaller carries the boundary
     where = (bsg.n, bsg.edges)
     cursor = _CURSORS.get(where) or _CURSORS.setdefault(where, ClassCursor(bsg))
-    total = cursor.raw_count(n - 1)
+    total = cursor.raw_count(b.graph.n - 1)
     limit = total if budget is None else min(budget, total)
     want = sig_b.class_key()
     hit = next(((off, i) for off, i in view.kept.get(want, ()) if off <= sig_b.offset), None)
@@ -164,8 +144,44 @@ def _search(spec: ProblemSpec, t, view: _View, bsg: Graph, n: int, sig_b: Signat
     if hit is not None and cursor.classes[hit[1]][0] < limit:
         return FindResult(FOUND, cursor.graph(hit[1]), hit[0] - sig_b.offset)
     if view.cap is not None and view.cap[0] < limit:
-        raise OracleCapExceeded(view.cap[1])
+        return view.cap[1]
     return FindResult(BUDGET if budget is not None and total > budget else IRREDUCIBLE)
+
+
+def _text(answer) -> str:
+    if isinstance(answer, str):
+        return f"cap {answer}"
+    if answer.status == FOUND:
+        return f"{FOUND} {answer.j.graph.n} {edge_mask(answer.j.graph)} {answer.c}"
+    return answer.status
+
+
+def _from_file(spec: ProblemSpec, t, b: BoundariedGraph, bsg: Graph, text: str | None):
+    """A file's answer for window b, None if it has none or an untrusted one.
+
+    A found graph j is trusted only if it has fewer vertices than b, b's
+    labels and boundary subgraph bsg, b's signature class and c = offset(j) -
+    offset(b) <= 0."""
+    if text is None:
+        return None
+    kind, _, rest = text.partition(" ")
+    if kind == "cap":
+        return rest
+    if kind != FOUND:
+        return FindResult(kind) if kind in (IRREDUCIBLE, BUDGET) else None
+    n, mask, c = map(int, rest.split())
+    if not len(b.labels) <= n < b.graph.n or c > 0:
+        return None
+    j = from_mask(n, mask, len(b.labels))
+    if j.boundary_subgraph().edges != bsg.edges:
+        return None
+    try:
+        sig_b, sig_j = compute_signature(spec, b, t), compute_signature(spec, j, t)
+    except OracleCapExceeded:
+        return None
+    if None in (sig_b.offset, sig_j.offset) or not sig_j.same_class(sig_b):
+        return None
+    return FindResult(FOUND, j, c) if c == sig_j.offset - sig_b.offset else None
 
 
 def find_replacement(
@@ -180,48 +196,35 @@ def find_replacement(
     The answer is the first hit of the smallest-first enumeration with the
     boundary subgraph pinned, taken from the process-wide table of
     representatives, which remembers it per (canonical code of b, budget); an
-    OracleCapExceeded is remembered and raised again.  A cache is consulted
-    before the table, except for a remembered IRREDUCIBLE, BUDGET or oracle
-    cap; its hits are not remembered.  c = offset(J) - offset(B) <= 0 always.
-    Raises CanonizationCapExceeded for b over CANONIZATION_CAP vertices.
+    OracleCapExceeded is remembered and raised again.  A window the table has
+    not answered is looked up in the cache file before it is searched; file
+    answers are checked (see _from_file) and never remembered, and each
+    answer of the table is appended to the file once, so a file written here
+    changes no kernel.  c = offset(J) - offset(B) <= 0 always.  Raises
+    CanonizationCapExceeded for b over CANONIZATION_CAP vertices.
     """
     if tuple(sorted(b.labels)) != tuple(range(1, len(b.labels) + 1)):
         raise ValueError("boundary labels must be 1..|boundary|")
-    ask = (canonical_code(b), budget)
+    code = canonical_code(b)
     bsg = b.boundary_subgraph()
     at = (spec, t, bsg.n, bsg.edges)
     view = _VIEWS.get(at) or _VIEWS.setdefault(at, _View())
-    known = view.answers.get(ask)
+    known = view.answers.get((code, budget))
+    key = None
+    if cache is not None:
+        params = ",".join(map(str, spec.params))
+        key = f"{spec.id}[{params}]\t{t}\t{bsg.n} {edge_mask(bsg)}\t{code.hex()}\t{budget}"
+    if known is None and key is not None:
+        known = _from_file(spec, t, b, bsg, cache.data.get(key))
+        if known is not None:
+            key = None  # a file answer is neither remembered nor appended
+    if known is None:
+        known = view.answers[code, budget] = _search(spec, t, view, b, bsg, budget)
+    if key is not None:
+        cache.put(key, _text(known))
     if isinstance(known, str):
         raise OracleCapExceeded(known)
-    if known is not None and (cache is None or known.status != FOUND):
-        return known
-    try:
-        sig_b = compute_signature(spec, b, t)
-    except OracleCapExceeded as exc:
-        view.answers[ask] = str(exc)
-        raise
-    if cache is not None and sig_b.offset is not None:
-        key = signature_key(spec, b, sig_b, t)
-        hit = cache.get(key)
-        if hit is not None:
-            j, off_j = hit
-            if j.graph.n < b.graph.n and off_j <= sig_b.offset:
-                sig_j = compute_signature(spec, j, t)
-                if sig_j.same_class(sig_b) and sig_j.offset == off_j:
-                    return FindResult(FOUND_CACHE, j, off_j - sig_b.offset)
-    if sig_b.offset is None or b.graph.n - 1 < len(b.labels):
-        res = FindResult(IRREDUCIBLE)  # no class, or nothing smaller carries the boundary
-    else:
-        try:
-            res = _search(spec, t, view, bsg, b.graph.n, sig_b, budget)
-        except OracleCapExceeded as exc:
-            view.answers[ask] = str(exc)
-            raise
-    view.answers[ask] = res
-    if res.status == FOUND and cache is not None:
-        cache.put(key, res.j, sig_b.offset + res.c)
-    return res
+    return known
 
 
 @dataclass

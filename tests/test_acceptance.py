@@ -23,7 +23,6 @@ from protkern.problems import (
     sct_preprocess,
 )
 from protkern.protrusion import is_protrusion, partition_protrusion, split_protrusion
-from protkern.replace import signature_key
 from protkern.treewidth import decide_tw_leq
 
 ALL_PROBLEMS = [
@@ -112,7 +111,7 @@ def test_01_kernelization_preserves_decisions(corpus_runs):
 
 
 # ---------------------------------------------------------------------------
-# criterion 2: equal signature key implies a shared transposition constant
+# criterion 2: equal signature class implies a shared transposition constant
 
 
 def test_02_equal_signatures_share_transposition():
@@ -132,7 +131,7 @@ def test_02_equal_signatures_share_transposition():
             groups = defaultdict(list)
             for b in blist:
                 sig = compute_signature(spec, b, 2)
-                groups[signature_key(spec, b, sig, 2)].append((b, sig))
+                groups[b.boundary_subgraph().edges, sig.class_key()].append((b, sig))
             for members in groups.values():
                 if len(members) < 2:
                     continue

@@ -24,6 +24,11 @@ class TestGen:
     def test_bad_family(self, capsys):
         assert run("gen", "--family", "nonsense:1") == EXIT_PARSE
 
+    @pytest.mark.parametrize("family", ["path", "path:3,4", "star-of-paths:2"])
+    def test_wrong_parameter_count(self, capsys, family):
+        assert run("gen", "--family", family) == EXIT_PARSE
+        assert "takes the form" in capsys.readouterr().err
+
 
 class TestKernelize:
     def test_family_input_with_report(self, tmp_path):
@@ -67,6 +72,14 @@ class TestKernelize:
         )
         assert code == EXIT_PARSE
         assert "not in format" in capsys.readouterr().err
+
+    def test_cache_that_is_a_directory_is_argument_error(self, tmp_path, capsys):
+        code = run(
+            "kernelize", "--problem", "vc", "--k", "3", "--family", "path:30",
+            "--cache", str(tmp_path),
+        )
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "args",

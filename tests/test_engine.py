@@ -119,17 +119,21 @@ class TestDriverLoop:
         path = tmp_path / "reps.tsv"
         g = generate(parse_family("star-of-paths:3,12"))
         inst = ProblemInstance(g, 4, DS)
+        fresh_table(monkeypatch)
         first, log1 = meta_kernelize(inst, cfg(cache_path=str(path)))
         written = path.read_bytes()
         assert log1.steps and written
         second, log2 = meta_kernelize(inst, cfg(cache_path=str(path)))
         assert second.graph == first.graph and second.k == first.k
         assert log2.steps == log1.steps
-        assert path.read_bytes() == written  # every search was a cache hit
-        fresh_table(monkeypatch)
-        third, log3 = meta_kernelize(inst, cfg())
-        assert (third.graph, third.k) == (first.graph, first.k)
-        assert log3.steps == log1.steps  # the file changed no kernel
+        assert path.read_bytes() == written  # the file holds every answer
+        # on a fresh table, with the file and without it
+        for cache_path in (str(path), None):
+            fresh_table(monkeypatch)
+            again, log3 = meta_kernelize(inst, cfg(cache_path=cache_path))
+            assert (again.graph, again.k) == (first.graph, first.k)
+            assert log3.steps == log1.steps  # the file changed no kernel
+        assert path.read_bytes() == written
 
     def test_windows_are_remembered(self, monkeypatch):
         fresh_table(monkeypatch)

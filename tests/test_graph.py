@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,24 @@ class TestFamilies:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             parse_family("mobius:5")
+
+    @pytest.mark.parametrize(
+        "text,form",
+        [
+            ("path", "path:N"),
+            ("path:3,4", "path:N"),
+            ("star-of-paths:2", "star-of-paths:K,LENGTH"),
+            ("random-sparse:5,10,2", "random-sparse:N[,PERCENT]"),
+            ("grid:2,2+cycle", "cycle:N"),
+        ],
+    )
+    def test_parameter_count(self, text, form):
+        with pytest.raises(ValueError, match=re.escape(form)):
+            parse_family(text)
+
+    def test_random_sparse_percent_is_optional(self):
+        assert generate(parse_family("random-sparse:5")).n == 5
+        assert generate(parse_family("random-sparse:5,100")).m == 10
 
     def test_grid_counts(self):
         g = generate(parse_family("grid:3,4"))

@@ -1,3 +1,4 @@
+import fcntl
 import itertools
 import os
 import tempfile
@@ -21,13 +22,11 @@ from protkern.replace import (
     BUDGET,
     CACHE_HEADER,
     FOUND,
-    FOUND_CACHE,
     IRREDUCIBLE,
     FindResult,
     RepCache,
     apply_replacement,
     find_replacement,
-    signature_key,
 )
 
 VC = get_problem("vc")
@@ -38,88 +37,124 @@ def one_labelled(g, v=0):
     return BoundariedGraph(g, (v,), (1,))
 
 
+def record_of(monkeypatch, tmp_path, spec, b):
+    """The key and answer a fresh table records for window b at t = 2."""
+    _fresh_table(monkeypatch)
+    cache = RepCache(str(tmp_path / f"{len(list(tmp_path.iterdir()))}.tsv"))
+    find_replacement(spec, b, cache=cache, t=2)
+    [record] = cache.data.items()
+    return record
+
+
 class TestSignatureKey:
-    def test_distinguishes_problems(self):
+    """The keys of the cache file's records."""
+
+    def test_distinguishes_problems(self, monkeypatch, tmp_path):
         b = one_labelled(generate(parse_family("path:3")))
-        kv = signature_key(VC, b, compute_signature(VC, b), 2)
-        kd = signature_key(DS, b, compute_signature(DS, b), 2)
+        kv, _ = record_of(monkeypatch, tmp_path, VC, b)
+        kd, _ = record_of(monkeypatch, tmp_path, DS, b)
         assert kv != kd
 
-    def test_distinguishes_boundary_subgraph(self):
+    def test_distinguishes_boundary_subgraph(self, monkeypatch, tmp_path):
         edge = BoundariedGraph(Graph.from_edges(2, [(0, 1)]), (0, 1), (1, 2))
         bare = BoundariedGraph(Graph.from_edges(2, []), (0, 1), (1, 2))
-        s1 = compute_signature(VC, edge)
-        s2 = compute_signature(VC, bare)
-        assert signature_key(VC, edge, s1, 2) != signature_key(VC, bare, s2, 2)
+        k1, _ = record_of(monkeypatch, tmp_path, VC, edge)
+        k2, _ = record_of(monkeypatch, tmp_path, VC, bare)
+        assert k1.split("\t")[2] != k2.split("\t")[2]
 
-    def test_stable_across_interior_relabelling(self):
+    def test_stable_across_interior_relabelling(self, monkeypatch, tmp_path):
         g1 = Graph.from_edges(3, [(0, 1), (1, 2)])
         g2 = Graph.from_edges(3, [(0, 2), (2, 1)])
-        b1, b2 = one_labelled(g1), one_labelled(g2)
-        k1 = signature_key(VC, b1, compute_signature(VC, b1), 2)
-        k2 = signature_key(VC, b2, compute_signature(VC, b2), 2)
-        assert k1 == k2
+        r1 = record_of(monkeypatch, tmp_path, VC, one_labelled(g1))
+        r2 = record_of(monkeypatch, tmp_path, VC, one_labelled(g2))
+        assert r1 == r2
 
     # A path 0-1-2-3 with a triangle 1-2-4, cut at vertices 1 and 3.  The
-    # keys name records in persisted RepCache files: a change to
-    # canonical_code or to a table's serialization orphans those records.
+    # record lines persist in cache files, and each table's class key decides
+    # which window a found record may replace: a change to canonical_code, to
+    # a table or to the record layout must show here.
     PINNED_WINDOW = BoundariedGraph(
         Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 4)]), (1, 3), (1, 2)
     )
-    PINNED_KEYS = [
+    KEY = "2\t2 0\t357c312c327c01c9\tNone"  # t, boundary subgraph, code, budget
+    PINNED_RECORDS = [
         (
             "vc",
             {},
-            "vc[]t=2|bsg=327c312c327c00|labels=[1, 2]|table=()=1;(1,)=0;(1, 2)=1;(2,)=2",
+            f"vc[]\t{KEY}\tfound 4 10 -1",
+            (frozenset({1, 2}), ((), (1,), (1, 2), (2,)), (1, 0, 1, 2), None),
         ),
         (
             "ds",
             {},
-            "ds[]t=2|bsg=327c312c327c00|labels=[1, 2]|table=('D', 'D')=1;('D', 'F')=1;"
-            "('D', 'I')=2;('F', 'D')=1;('F', 'F')=1;('F', 'I')=2;('I', 'D')=1;"
-            "('I', 'F')=0;('I', 'I')=1",
+            f"ds[]\t{KEY}\tirreducible",
+            (
+                frozenset({1, 2}),
+                tuple(itertools.product("DFI", repeat=2)),
+                (1, 1, 2, 1, 1, 2, 1, 0, 1),
+                None,
+            ),
         ),
         (
             "is",
             {},
-            "is[]t=2|bsg=327c312c327c00|labels=[1, 2]|table=(0, 0)=0;(0, 1)=-1;"
-            "(0, 2)=-1;(1, 0)=0;(1, 1)=-1;(1, 2)=-1;(2, 0)=-2;(2, 1)=-3;(2, 2)=-3"
-            "|ell=(1, 2):1",
+            f"is[]\t{KEY}\tfound 4 10 0",
+            (
+                frozenset({1, 2}),
+                tuple(itertools.product(range(3), repeat=2)),
+                (0, -1, -1, 0, -1, -1, -2, -3, -3),
+                (((1, 2), 1),),
+            ),
         ),
         (
             "scattered",
             {"r": 2},
-            "scattered[2]t=2|bsg=327c312c327c00|labels=[1, 2]|table=(0, 0)=0;"
-            "(0, 1)=-1;(0, 2)=-1;(0, 3)=-1;(1, 0)=0;(1, 1)=-1;(1, 2)=-1;(1, 3)=-1;"
-            "(2, 0)=-1;(2, 1)=-2;(2, 2)=-2;(2, 3)=-2;(3, 0)=-2;(3, 1)=-2;(3, 2)=-2;"
-            "(3, 3)=-2|ell=(1, 2):2",
+            f"scattered[2]\t{KEY}\tfound 4 14 0",
+            (
+                frozenset({1, 2}),
+                tuple(itertools.product(range(4), repeat=2)),
+                (0, -1, -1, -1, 0, -1, -1, -1, -1, -2, -2, -2, -2, -2, -2, -2),
+                (((1, 2), 2),),
+            ),
         ),
         (
             "cyclepacking",
             {},
-            "cyclepacking[]t=2|bsg=327c312c327c00|labels=[1, 2]|table=((), ())=0;"
-            "((), ((1, 2),))=-1;((1,), ())=-1;((1, 2), ())=-1;((2,), ())=0",
+            f"cyclepacking[]\t{KEY}\tfound 4 46 0",
+            (
+                frozenset({1, 2}),
+                (((), ()), ((), ((1, 2),)), ((1,), ()), ((1, 2), ()), ((2,), ())),
+                (0, -1, -1, -1, 0),
+                None,
+            ),
         ),
         (
             "sct",
             {"s": 3},
-            "sct[3]t=2|bsg=327c312c327c00|labels=[1, 2]|table=(0,)=0;(1,)=0;(2,)=0;(3,)=1",
+            f"sct[3]\t{KEY}\tfound 4 44 -1",
+            (frozenset({1, 2}), ((0,), (1,), (2,), (3,)), (0, 0, 0, 1), None),
         ),
     ]
 
-    @pytest.mark.parametrize("pid,kw,key", PINNED_KEYS, ids=[p for p, _, _ in PINNED_KEYS])
-    def test_pinned_keys(self, pid, kw, key):
+    @pytest.mark.parametrize(
+        "pid,kw,record,class_key", PINNED_RECORDS, ids=[p for p, _, _, _ in PINNED_RECORDS]
+    )
+    def test_pinned_keys(self, monkeypatch, tmp_path, pid, kw, record, class_key):
         spec = get_problem(pid, **kw)
         b = self.PINNED_WINDOW
-        assert signature_key(spec, b, compute_signature(spec, b, 2), 2) == key
+        _fresh_table(monkeypatch)
+        path = tmp_path / "reps.tsv"
+        find_replacement(spec, b, cache=RepCache(str(path)), t=2)
+        assert path.read_text().splitlines() == [CACHE_HEADER, record]
+        assert compute_signature(spec, b, 2).class_key() == class_key
 
-    def test_ds_radius_one_is_plain_ds(self):
+    def test_ds_radius_one_is_plain_ds(self, monkeypatch, tmp_path):
         b = self.PINNED_WINDOW
-        keys = {
-            signature_key(spec, b, compute_signature(spec, b, 2), 2)
+        records = {
+            record_of(monkeypatch, tmp_path, spec, b)
             for spec in (get_problem("ds"), get_problem("ds", r=1))
         }
-        assert len(keys) == 1 and keys.pop().startswith("ds[]")
+        assert len(records) == 1 and records.pop()[0].startswith("ds[]\t")
 
 
 class TestFindReplacement:
@@ -313,102 +348,132 @@ class TestRememberedAnswers:
     def test_file_hits_are_not_remembered(self, monkeypatch, tmp_path):
         b = one_labelled(generate(parse_family("path:3")))
         path = str(tmp_path / "reps.tsv")
-        find_replacement(VC, b, cache=RepCache(path))
         _fresh_table(monkeypatch)
-        hit = find_replacement(VC, b, cache=RepCache(path))
-        assert hit.status == FOUND_CACHE
-        assert find_replacement(VC, b) == FindResult(FOUND, hit.j, hit.c)
+        first = find_replacement(VC, b, cache=RepCache(path))
+        _fresh_table(monkeypatch)
+        assert find_replacement(VC, b, cache=RepCache(path)) == first
+        # answered from the file: no cursor was built and no answer kept
+        assert replace._CURSORS == {}
+        assert all(view.answers == {} for view in replace._VIEWS.values())
+        assert find_replacement(VC, b) == first
+
+
+def key(name):
+    """A record key with five fields."""
+    return f"vc[]\t1\t1 0\t{name}\tNone"
 
 
 class TestRepCache:
-    def test_hit_round_trip(self, tmp_path):
-        path = str(tmp_path / "reps.tsv")
+    def test_hit_round_trip(self, monkeypatch, tmp_path):
+        path = tmp_path / "reps.tsv"
         b = one_labelled(generate(parse_family("path:3")))
-        first = find_replacement(VC, b, cache=RepCache(path))
+        _fresh_table(monkeypatch)
+        first = find_replacement(VC, b, cache=RepCache(str(path)))
         assert first.status == FOUND
-        second = find_replacement(VC, b, cache=RepCache(path))
-        assert second.status == FOUND_CACHE
-        assert second.j.graph.edges == first.j.graph.edges
-        assert second.c == first.c
-
-    def test_keeps_smallest(self):
-        cache = RepCache()
-        big = one_labelled(generate(parse_family("path:3")))
-        small = one_labelled(Graph.from_edges(1, []))
-        cache.put("k", big, 1)
-        cache.put("k", small, 0)
-        cache.put("k", big, 1)  # larger entry must not clobber
-        assert cache.get("k")[0].graph.n == 1
+        written = path.read_bytes()
+        _fresh_table(monkeypatch)
+        second = find_replacement(VC, b, cache=RepCache(str(path)))
+        assert second == first and replace._CURSORS == {}
+        assert path.read_bytes() == written
 
     def test_corrupt_tail_dropped(self, tmp_path):
         path = str(tmp_path / "reps.tsv")
-        small = one_labelled(Graph.from_edges(1, []))
         writer = RepCache(path)
-        writer.put("a", small, 0)
+        writer.put(key("a"), "budget")
         with open(path, "ab") as fh:
             fh.write(b"broken \xff line without tabs\n")
-        writer.put("b", small, 1)
+        writer.put(key("b"), "found 1 0 -1")
         with open(path, "rb") as fh:
             before = fh.read()
         cache = RepCache(path)
-        assert sorted(cache.data) == ["a", "b"] and cache.skipped == 1
+        assert cache.data == {key("a"): "budget", key("b"): "found 1 0 -1"}
+        assert cache.skipped == 1
         with open(path, "rb") as fh:
             assert fh.read() == before  # loading never rewrites the file
         # a torn tail must not swallow the next record
         with open(path, "a") as fh:
-            fh.write("torn\t1 0")
-        RepCache(path).put("c", small, 2)
-        assert sorted(RepCache(path).data) == ["a", "b", "c"]
+            fh.write(key("torn") + "\tfound 1")
+        RepCache(path).put(key("c"), "cap 21 edges")
+        again = RepCache(path)
+        assert sorted(again.data) == [key("a"), key("b"), key("c")] and again.skipped == 2
 
     def test_new_file_starts_with_version_header(self, tmp_path):
         path = tmp_path / "reps.tsv"
-        small = one_labelled(Graph.from_edges(1, []))
-        RepCache(str(path)).put("a", small, 0)
-        header, record = path.read_text().splitlines()
-        assert header == CACHE_HEADER and record.startswith("a\t")
+        RepCache(str(path)).put(key("a"), "irreducible")
+        assert path.read_text().splitlines() == [CACHE_HEADER, key("a") + "\tirreducible"]
         cache = RepCache(str(path))
-        assert sorted(cache.data) == ["a"] and cache.skipped == 0
+        assert cache.data == {key("a"): "irreducible"} and cache.skipped == 0
+
+    def test_one_append_write_per_record(self, monkeypatch, tmp_path):
+        path = str(tmp_path / "reps.tsv")
+        writes = []
+
+        def write(fd, data):
+            writes.append((fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND, data))
+            return real_write(fd, data)
+
+        real_write = os.write
+        monkeypatch.setattr(replace.os, "write", write)
+        cache = RepCache(path)
+        for name in "abc":
+            cache.put(key(name), "budget")
+        cache.put(key("a"), "budget")  # already the key's last record
+        assert [flag for flag, _ in writes] == [os.O_APPEND] * 3
+        assert writes[0][1] == f"{CACHE_HEADER}\n{key('a')}\tbudget\n".encode()
 
     def test_other_version_fails_loudly(self, tmp_path):
         path = tmp_path / "reps.tsv"
         path.write_text("#protkern-repcache 0\na\t1 0 1\t0\n")
         with pytest.raises(ValueError, match="not in format"):
             RepCache(str(path))
+        assert path.read_text() == "#protkern-repcache 0\na\t1 0 1\t0\n"
 
-    def test_headerless_file_loads_and_stays_headerless(self, tmp_path):
-        path = tmp_path / "reps.tsv"
-        path.write_text("a\t1 0 1\t0\n")
-        cache = RepCache(str(path))
-        assert sorted(cache.data) == ["a"] and cache.skipped == 0
-        cache.put("b", one_labelled(Graph.from_edges(1, [])), 1)
-        assert path.read_text() == "a\t1 0 1\t0\nb\t1 0 1\t1\n"
-
-    # a record: unique key, small boundaried graph, offset
-    RECORD = st.tuples(
-        st.text("abcxyz|=[]; \u00e9\u2028\x0b\r", min_size=1, max_size=8),
-        st.integers(1, 5).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
-                st.integers(0, n),
-            )
-        ),
-        st.integers(-3, 3),
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "a\t1 0 1\t0\n",
+            "#protkern-repcache 1\nvc[]t=1|bsg=00|labels=[1]|table=()=0\t1 0 1\t0\n",
+            "#protkern-repcache",
+            "\n",
+        ],
+        ids=["pre-header", "v1", "torn-header", "blank-line"],
     )
-    # a bad line: anything without a newline that cannot split into three
-    # fields, or three fields whose graph has no digits
-    BAD = st.one_of(
-        st.binary(max_size=24).filter(
-            lambda b: b"\n" not in b and b.count(b"\t") != 2 and not b.startswith(b"#")
+    def test_file_without_the_header_is_refused(self, tmp_path, content):
+        path = tmp_path / "reps.tsv"
+        path.write_text(content)
+        with pytest.raises(ValueError, match="not in format"):
+            RepCache(str(path))
+        assert path.read_text() == content
+
+    # a key of five tab-free fields, and an answer that parses
+    KEY = st.lists(
+        st.text("abcxyz|=[]; \u00e9\u2028\x0b\r", max_size=4), min_size=5, max_size=5
+    ).map("\t".join)
+    ANSWER = st.one_of(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 2**40), st.integers(-50, 50)).map(
+            lambda a: "found %d %d %d" % a
         ),
-        st.text("ab;x ", max_size=6).map(lambda g: f"k\t{g}\t0".encode()),
+        st.sampled_from([IRREDUCIBLE, BUDGET]),
+        st.text("abc 019\u00e9\r|", min_size=1, max_size=8).map("cap ".__add__),
+    )
+    # a bad line: anything without a newline that is not six fields, or six
+    # fields whose answer does not parse
+    BAD = st.one_of(
+        st.binary(max_size=24).filter(lambda b: b"\n" not in b and b.count(b"\t") != 5),
+        st.sampled_from(
+            ["found", "found 1 2", "found -1 2 0", "found 1 2 3 4", "found 1 2 +3", "cap", "budget "]
+        ).map(lambda a: f"a\tb\tc\td\te\t{a}".encode()),
     )
 
     @settings(max_examples=80, deadline=None)
     @given(
-        items=st.lists(st.one_of(RECORD.map(lambda r: ("rec", r)), BAD.map(lambda b: ("bad", b)))),
+        items=st.lists(
+            st.one_of(
+                st.tuples(KEY, ANSWER).map(lambda r: ("rec", r)), BAD.map(lambda b: ("bad", b))
+            )
+        ),
         header=st.booleans(),
-        tail=st.binary(max_size=12).filter(lambda b: b"\n" not in b),
+        tail=st.binary(max_size=12).filter(lambda b: b"\n" not in b and b"\t" not in b),
     )
     def test_fuzzed_file(self, items, header, tail):
         lines, records, bad = [], {}, 0
@@ -418,44 +483,49 @@ class TestRepCache:
             if kind == "bad":
                 lines.append(item)
                 bad += 1
-                continue
-            key, (n, pairs, nlab), off = item
-            key = "k" + key  # never a header
-            if key in records:
-                continue
-            g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
-            records[key] = (g, off)
-            edges = ";".join(f"{u} {v}" for u, v in sorted(g.edges))
-            lines.append(f"{key}\t{n} {g.m} {nlab}{';' if edges else ''}{edges}\t{off}".encode())
+            else:
+                records[item[0]] = item[1]  # the last record of a key counts
+                lines.append("\t".join(item).encode())
         content = b"".join(line + b"\n" for line in lines) + tail
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "reps.tsv")
             with open(path, "wb") as fh:
                 fh.write(content)
+            if content and not header:
+                with pytest.raises(ValueError, match="not in format"):
+                    RepCache(path)
+                with open(path, "rb") as fh:
+                    assert fh.read() == content
+                return
             cache = RepCache(path)
-            assert {k: (bg.graph, off) for k, (bg, off) in cache.data.items()} == records
+            assert cache.data == records
             assert cache.skipped == bad + (tail != b"")
             with open(path, "rb") as fh:
                 assert fh.read() == content  # loading never rewrites the file
-            extra = one_labelled(generate(parse_family("path:2")))
-            cache.put("late", extra, 2)
+            cache.put(key("late"), BUDGET)
             again = RepCache(path)
-            assert again.get("late")[0].graph == extra.graph and again.get("late")[1] == 2
-            assert {k: again.data[k][0].graph for k in records} == {
-                k: g for k, (g, _) in records.items()
-            }
+            assert again.data == {**records, key("late"): BUDGET}
             assert again.skipped == cache.skipped
 
-    def test_stale_entry_revalidated(self, tmp_path):
-        path = str(tmp_path / "reps.tsv")
+    def test_stale_entry_revalidated(self, monkeypatch, tmp_path):
+        path = tmp_path / "reps.tsv"
         b = one_labelled(generate(parse_family("path:3")))
-        res = find_replacement(VC, b, cache=RepCache(path))
-        key = signature_key(VC, b, compute_signature(VC, b), None)
-        # poison the cache with a wrong graph under the right key
-        with open(path, "w") as fh:
-            fh.write(f"{key}\t2 1 1;0 1\t0\n")
-        redo = find_replacement(VC, b, cache=RepCache(path))
-        assert redo.status == FOUND  # re-derived, not trusted
+        _fresh_table(monkeypatch)
+        res = find_replacement(VC, b, cache=RepCache(str(path)))
+        [(k, answer)] = RepCache(str(path)).data.items()
+        assert res.status == FOUND and answer == "found 1 0 -1"
+        # well-formed found records that are no replacement of b: the wrong
+        # class, the wrong offset, not smaller, another boundary subgraph
+        for stale in ("found 2 1 0", "found 1 0 0", "found 3 3 -1", "found 1 0 1"):
+            path.write_text(f"{CACHE_HEADER}\n{k}\t{stale}\n")
+            _fresh_table(monkeypatch)
+            assert find_replacement(VC, b, cache=RepCache(str(path))) == res
+            assert RepCache(str(path)).data[k] == answer  # the table's answer follows
+        # other answers are taken as recorded
+        path.write_text(f"{CACHE_HEADER}\n{k}\tcap from the file\n")
+        _fresh_table(monkeypatch)
+        with pytest.raises(OracleCapExceeded, match="from the file"):
+            find_replacement(VC, b, cache=RepCache(str(path)))
 
 
 class TestApplyReplacement:
