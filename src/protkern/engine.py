@@ -132,7 +132,7 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
         fired = False
         for R in _candidate_sets(inst.graph, cfg.r_search, cfg.split_c):
             Rset = frozenset(R)
-            xr = compute_xr(inst.graph, Rset)
+            xr = compute_xr(inst.graph, Rset, min_size=cfg.size_threshold)
             for w in xr.warnings:
                 warn(w)
             if len(xr.X) < cfg.size_threshold:

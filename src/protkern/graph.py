@@ -57,9 +57,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
 
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" header plus "u v" lines (0-indexed). Duplicate edges collapse."""

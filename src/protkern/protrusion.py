@@ -52,25 +52,29 @@ class XRResult:
     components: list[tuple[list[int], TreeDecomposition]]
 
 
-def compute_xr(g: Graph, R, vertex_cap: int = EXACT_TW_VERTEX_CAP) -> XRResult:
+def compute_xr(g: Graph, R, vertex_cap: int = EXACT_TW_VERTEX_CAP, min_size: int = 0) -> XRResult:
     """R plus every component of G-R whose treewidth is at most |R|.
 
-    Components too large for the exact treewidth check are excluded with a
-    warning; the smaller region is still a valid protrusion candidate.
+    Components over vertex_cap are skipped with a warning; the smaller region
+    is still a valid protrusion candidate.  If R and the remaining components
+    total under min_size vertices, X is R alone and no treewidth is decided.
     """
     R = frozenset(R)
     for v in R:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    out = set(R)
-    warnings = []
-    components = []
+    warnings, small = [], []
     for comp in connected_components(g, R):
         if len(comp) > vertex_cap:
             warnings.append(
                 f"component of size {len(comp)} skipped: too large for exact treewidth"
             )
-            continue
+        else:
+            small.append(comp)
+    if len(R) + sum(map(len, small)) < min_size:
+        return XRResult(R, warnings, [])
+    out, components = set(R), []
+    for comp in small:
         sub, _ = induced_subgraph(g, comp)
         td = decide_tw_leq(sub, len(R), vertex_cap=vertex_cap)
         if td is not None:

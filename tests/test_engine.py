@@ -1,6 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
-from protkern import replace
+from protkern import engine, protrusion, replace
 from protkern.engine import (
     EngineConfig,
     meta_kernelize,
@@ -8,7 +11,13 @@ from protkern.engine import (
     verify_kernel,
 )
 from protkern.graph import Graph, generate, parse_family
-from protkern.problems import ProblemInstance, compute_signature, decide, get_problem
+from protkern.problems import (
+    ProblemInstance,
+    brute_opt,
+    compute_signature,
+    decide,
+    get_problem,
+)
 
 VC = get_problem("vc")
 DS = get_problem("ds")
@@ -22,6 +31,24 @@ def cfg(**kw):
 def fresh_table(monkeypatch):
     monkeypatch.setattr(replace, "_CURSORS", {})
     monkeypatch.setattr(replace, "_VIEWS", {})
+
+
+def count_treewidth_calls(monkeypatch) -> dict:
+    """Count the engine's compute_xr calls and the decide_tw_leq calls they make."""
+    calls = {"compute_xr": 0, "decide_tw_leq": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(engine, "compute_xr")
+    counted(protrusion, "decide_tw_leq")
+    return calls
 
 
 class TestConfig:
@@ -177,6 +204,21 @@ class TestDriverLoop:
         ]
         assert decide(out) is answer
 
+    def test_ladder_below_threshold_decides_no_treewidth(self, monkeypatch):
+        # 20 vertices against a threshold of 30 at t = 2: no region can reach it
+        calls = count_treewidth_calls(monkeypatch)
+        g = generate(parse_family("grid:2,10"))
+        out, log = meta_kernelize(ProblemInstance(g, 10, VC), cfg(t=2))
+        assert (out.graph, out.k, log.steps) == (g, 10, [])
+        assert calls["compute_xr"] > 0 and calls["decide_tw_leq"] == 0
+
+    def test_path_decides_treewidth_for_fewer_cut_sets(self, monkeypatch):
+        calls = count_treewidth_calls(monkeypatch)
+        inst = ProblemInstance(generate(parse_family("path:40")), 20, VC)
+        out, log = meta_kernelize(inst, cfg())
+        assert log.steps and out.graph.n < 40
+        assert 0 < calls["decide_tw_leq"] < calls["compute_xr"]
+
     @pytest.mark.parametrize("pid", ["vc", "ds", "is", "cyclepacking"])
     def test_decision_agreement_over_k_range(self, pid):
         spec = get_problem(pid)
@@ -185,6 +227,79 @@ class TestDriverLoop:
             inst = ProblemInstance(g, k, spec)
             out, _ = meta_kernelize(inst, cfg())
             assert decide(out) == decide(inst), (pid, k)
+
+
+def kernel_digest(out, log) -> str:
+    """sha256 of (n', k', sorted edges, step count) of one kernelization."""
+    key = (out.graph.n, out.k, sorted(out.graph.edges), len(log.steps))
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def shuffled_family(family: str, seed: int) -> Graph:
+    g = generate(parse_family(family))
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+CORPUS_SPECS = {
+    "vc": VC,
+    "ds": DS,
+    "is": get_problem("is"),
+    "scattered": get_problem("scattered", r=2),
+    "cyclepacking": get_problem("cyclepacking"),
+    "sct": get_problem("sct", s=3),
+}
+
+
+class TestPinnedKernels:
+    """Kernels pinned before cut sets were rejected by region size.
+
+    Any change to the candidate loop must leave these digests alone.
+    """
+
+    def test_ladder_above_threshold(self):
+        # 32 vertices against a threshold of 30 at t = 2, so treewidth runs
+        inst = ProblemInstance(generate(parse_family("grid:2,16")), 16, VC)
+        assert kernel_digest(*meta_kernelize(inst, cfg(t=2))) == (
+            "d5e7aca655f23e85f7f6abb2712c2d2c82c8a739e0a3e038cea7f466bc8c5765"
+        )
+
+    def test_shuffled_path(self):
+        inst = ProblemInstance(shuffled_family("path:120", 7), 60, VC)
+        assert kernel_digest(*meta_kernelize(inst, cfg())) == (
+            "d5141eea3f2260a5ead747e49c3b7454a36b3f4e8ed6dc9d4762d9dd754c0d8b"
+        )
+
+    def test_ds_star_of_paths(self):
+        inst = ProblemInstance(generate(parse_family("star-of-paths:3,12")), 4, DS)
+        assert kernel_digest(*meta_kernelize(inst, cfg())) == (
+            "abe4e84dfd707da12903c2f316e705cfeb8d90181ea7bdd086674105ca689dce"
+        )
+
+    @pytest.mark.parametrize(
+        "family,pid,digest",
+        [
+            ("grid:3,3", "vc", "1dab2e608c4a6390da038eefc95f015d99c5478e97999f06f9f308ff62def3bb"),
+            ("grid:3,3", "ds", "524c922d521a5476542dbbce5c77350a4d975e251d90cf218e1e558da2984a0d"),
+            ("grid:3,3", "is", "16e4ddaecc3daa5ab79eadfd18717b9bb06f26424abb005c97e692bd823c589c"),
+            ("grid:3,3", "scattered", "f0a2add6e53dabebbdd10c9e6a3b1c273baeff2d19c396bd7b54bdc222b67628"),
+            ("grid:3,3", "cyclepacking", "e5fde1b9faddf8d07cdf7ce37247b7428974940ea481161a23e965386e41d62a"),
+            ("grid:3,3", "sct", "beb6783e567091d6a8912b316c9cc68e79a7bc8ca3e354c3f05056b508ee9e45"),
+            ("path:12", "vc", "6b2feaf515d651ad48eda0750147d59ab25e0d52aa8d2645999d7134c159311b"),
+            ("path:12", "ds", "0f967ed9a092bf714860e0f610daf5aef5eece27896dadce51a79b2d97015b40"),
+            ("path:12", "is", "6b2feaf515d651ad48eda0750147d59ab25e0d52aa8d2645999d7134c159311b"),
+            ("path:12", "scattered", "0f967ed9a092bf714860e0f610daf5aef5eece27896dadce51a79b2d97015b40"),
+            ("path:12", "cyclepacking", "0053b864302088fc3f9b8662ddafc7762f9b05cebd959e87d0fa77a66cfcf41a"),
+            ("path:12", "sct", "beb6783e567091d6a8912b316c9cc68e79a7bc8ca3e354c3f05056b508ee9e45"),
+        ],
+    )
+    def test_corpus_calls(self, family, pid, digest):
+        # the benchmark's corpus settings, at the tight budget k = OPT
+        spec = CORPUS_SPECS[pid]
+        g = generate(parse_family(family))
+        inst = ProblemInstance(g, brute_opt(spec, g), spec)
+        assert kernel_digest(*meta_kernelize(inst, cfg(size_threshold=11))) == digest
 
 
 class TestVerifyKernel:

@@ -70,6 +70,38 @@ class TestComputeXR:
             compute_xr(generate(parse_family("path:3")), {7})
 
 
+class TestComputeXRMinSize:
+    """The region-size bound against the full X_R pass."""
+
+    GRAPHS = [
+        ("path:50", 2),
+        ("grid:2,10", 4),
+        ("grid-with-pendant-paths:3,3,2,6", 2),
+        ("random-sparse:14,20", 2),
+        ("path:3+cycle:5+path:30", 2),
+    ]
+
+    @pytest.mark.parametrize("family,max_r", GRAPHS)
+    def test_bound_only_drops_regions_below_min_size(self, family, max_r):
+        g = generate(parse_family(family))
+        for R in map(frozenset, cut_sets(g.n, range(1, max_r + 1))):
+            full = compute_xr(g, R)
+            for min_size in (0, 2, 6, 11, 19, 26, 30, 45):
+                res = compute_xr(g, R, min_size=min_size)
+                assert res.warnings == full.warnings, (R, min_size)
+                if (res.X, res.components) != (full.X, full.components):
+                    assert len(full.X) < min_size, (R, min_size)
+                    assert res.X == R and res.components == [], (R, min_size)
+
+    def test_bound_counts_only_components_under_the_cap(self):
+        # R = {40} leaves components of 40 and 9 vertices; with the first over
+        # the cap, X_R can have at most 10 vertices
+        g = generate(parse_family("path:50"))
+        assert len(compute_xr(g, {40}, vertex_cap=32, min_size=10).X) == 10
+        res = compute_xr(g, {40}, vertex_cap=32, min_size=11)
+        assert res.X == frozenset({40}) and len(res.warnings) == 1
+
+
 def reference_xr_witness(g: Graph, R: frozenset[int], X: frozenset[int]):
     """(parent, bags) of the X_R witness, assembled the former way.
 
