@@ -94,7 +94,7 @@ def cmd_gen(args) -> int:
 
 def _add_problem_args(p):
     p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
-    p.add_argument("--r", type=int, default=None, help="radius for scattered/ds")
+    p.add_argument("--r", type=int, default=None, help="radius for scattered; ds takes only 1")
     p.add_argument("--s", type=int, default=None, help="cycle-length bound for sct")
 
 

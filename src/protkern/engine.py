@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from .boundaried import CANONIZATION_CAP, split
 from .errors import CanonizationCapExceeded, OracleCapExceeded
 from .graph import Graph, articulation_points, distances_from
-from .problems import MAX, ProblemInstance, ProblemSpec, decide, has_signature, sct_preprocess
+from .problems import MAX, ProblemInstance, ProblemSpec, decide, sct_preprocess
 from .protrusion import compute_xr, split_protrusion, xr_protrusion
 from .replace import BUDGET, FOUND, RepCache, apply_replacement, find_replacement
 
@@ -109,11 +109,6 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
             )
             inst = ProblemInstance(g2, inst.k, spec)
     if inst.k >= 0 and inst.graph.n <= inst.k:
-        return inst, log
-    if not has_signature(spec):
-        log.warnings.append(f"problem '{spec.id}' has no replacement table; no-op")
-        if inst.k < 0:
-            return trivial_instance(spec), log
         return inst, log
 
     cache = RepCache(cfg.cache_path) if cfg.cache_path else None

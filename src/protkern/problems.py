@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .boundaried import BoundariedGraph
 from .errors import OracleCapExceeded
-from .graph import Graph, distances_from, induced_subgraph
+from .graph import Graph, induced_subgraph
 
 MIN = "min"
 MAX = "max"
@@ -45,6 +45,8 @@ def get_problem(pid: str, r: int | None = None, s: int | None = None) -> Problem
     """Spec of problem `pid`; a parameter the problem does not take is an error."""
     if pid not in PROBLEM_IDS:
         raise ValueError(f"unknown problem id '{pid}'")
+    if r not in (None, 1) and pid == "ds":
+        raise ValueError("ds takes only --r 1")
     if r is not None and pid not in ("ds", "scattered"):
         raise ValueError(f"problem '{pid}' takes no --r")
     if s is not None and pid != "sct":
@@ -52,10 +54,7 @@ def get_problem(pid: str, r: int | None = None, s: int | None = None) -> Problem
     if pid == "vc":
         return ProblemSpec("vc", MIN, "vertex-set")
     if pid == "ds":
-        if r is not None and r < 1:
-            raise ValueError("ds needs --r >= 1")
-        # radius 1 is plain domination, one spec and one signature key
-        return ProblemSpec("ds", MIN, "vertex-set", () if r in (None, 1) else (r,))
+        return ProblemSpec("ds", MIN, "vertex-set")
     if pid == "is":
         return ProblemSpec("is", MAX, "vertex-set")
     if pid == "scattered":
@@ -137,39 +136,47 @@ def _max_independent(conflict: tuple[int, ...], allowed: int, memo: dict | None 
     return go(allowed)
 
 
+def _ball(masks, v: int, r: int) -> list[int]:
+    """row[d] is the mask of the vertices within distance d of v, d = 0..r."""
+    ball = frontier = 1 << v
+    row = [ball]
+    for _ in range(r):
+        grown = ball
+        while frontier:
+            low = frontier & -frontier
+            grown |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~ball
+        ball = grown
+        row.append(ball)
+    return row
+
+
 def _balls(g: Graph, r: int) -> list[list[int]]:
-    """balls[v][d] is the mask of the vertices within distance d of v, d = 0..r."""
-    masks = g.adj_masks
-    out = []
-    for v in range(g.n):
-        ball = frontier = 1 << v
-        row = [ball]
-        for _ in range(r):
-            grown = ball
-            while frontier:
-                low = frontier & -frontier
-                grown |= masks[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & ~ball
-            ball = grown
-            row.append(ball)
-        out.append(row)
-    return out
+    return [_ball(g.adj_masks, v, r) for v in range(g.n)]
+
+
+def _on_short_cycle(masks: list[int], u: int, v: int, s: int) -> bool:
+    """Whether the edge uv lies on a cycle of length <= s: is v within s - 1
+    steps of u without the edge uv?  `masks` is restored before returning."""
+    masks[u] ^= 1 << v
+    masks[v] ^= 1 << u
+    found = _ball(masks, u, s - 1)[-1] >> v & 1
+    masks[u] ^= 1 << v
+    masks[v] ^= 1 << u
+    return bool(found)
 
 
 def _scattered_conflicts(balls: list[list[int]], r: int) -> tuple[int, ...]:
     return tuple(row[r] & ~(1 << v) for v, row in enumerate(balls))
 
 
-def _min_dominating(g: Graph, required: int, candidates: int, forced: int, r: int = 1):
-    """Min |S|, forced ⊆ S ⊆ forced|candidates, with required ⊆ r-ball of S.
+def _min_dominating(g: Graph, required: int, candidates: int, forced: int):
+    """Min |S|, forced ⊆ S ⊆ forced|candidates, with required ⊆ N[S].
 
     Returns INF when even the largest admissible S fails.
     """
-    if r == 1:
-        balls = [g.adj_masks[v] | (1 << v) for v in range(g.n)]
-    else:
-        balls = [row[r] for row in _balls(g, r)]
+    balls = [g.adj_masks[v] | (1 << v) for v in range(g.n)]
     base = 0
     for v in range(g.n):
         if forced >> v & 1:
@@ -299,8 +306,7 @@ def brute_opt(spec: ProblemSpec, g: Graph) -> int:
     if spec.id == "scattered":
         return _max_independent(_scattered_conflicts(_balls(g, spec.r), spec.r), full)
     if spec.id == "ds":
-        r = spec.params[0] if spec.params else 1
-        return int(_min_dominating(g, full, full, 0, r))
+        return int(_min_dominating(g, full, full, 0))
     if spec.id == "cyclepacking":
         return _max_cycle_packing(g)
     if spec.id == "sct":
@@ -326,76 +332,68 @@ def _boundary_in_label_order(b: BoundariedGraph) -> list[int]:
     return [v for _, v in sorted(zip(b.labels, b.boundary))]
 
 
-def vc_signature(b: BoundariedGraph) -> Signature:
-    """Table over boundary traces T: min vertex cover meeting the boundary in T."""
+def _signature(
+    spec: ProblemSpec, b: BoundariedGraph, raw: dict, cap: int, reference: int, ell: dict | None = None
+) -> Signature:
+    """Normalize raw state values by the offset, the best finite value in the
+    spec's direction; infinite values and those worse than the offset by more
+    than `cap` become the direction's infinity.  The offset must equal
+    `reference`, the optimum computed without the table."""
+    worst = INF if spec.direction == MIN else -INF
+    finite = [z for z in raw.values() if z != worst]
+    offset = (min if spec.direction == MIN else max)(finite) if finite else None
+    if offset is not None and offset != reference:
+        raise AssertionError(
+            f"{spec.id} signature offset {offset} differs from the reference optimum {reference}"
+        )
+    table = {
+        key: worst if offset is None or abs(z - offset) > cap else int(z - offset)
+        for key, z in raw.items()
+    }
+    return Signature(b.label_set, offset, table, ell)
+
+
+def _vc_table(b: BoundariedGraph) -> dict:
+    """Per sorted label tuple T: min vertex cover meeting the boundary in T."""
     g = b.graph
-    _check_cap(get_problem("vc"), g)
     labels = sorted(b.labels)
     bverts = _boundary_in_label_order(b)
     masks = g.adj_masks
     interior = sum(1 << v for v in b.interior())
-    table = {}
     raw = {}
     memo: dict[int, int] = {}
     for picks in itertools.chain.from_iterable(
         itertools.combinations(range(len(labels)), sz)
         for sz in range(len(labels) + 1)
     ):
-        T = frozenset(picks)
         # B - T stays out of the cover, so its neighbours go in; the rest of
         # the interior takes a minimum cover, the complement of an MIS
-        out = [bverts[i] for i in range(len(labels)) if i not in T]
+        out = [bverts[i] for i in range(len(labels)) if i not in picks]
         nbrs = 0
         for v in out:
             nbrs |= masks[v]
+        key = tuple(labels[i] for i in picks)
         if any(nbrs >> v & 1 for v in out):
-            raw[T] = INF
-            continue
-        raw[T] = g.n - len(out) - _max_independent(masks, interior & ~nbrs, memo)
-    finite = [v for v in raw.values() if v < INF]
-    offset = min(finite) if finite else None
-    cap = len(labels)
-    for T, z in raw.items():
-        key = tuple(sorted(labels[i] for i in T))
-        if z == INF or z - offset > cap:
-            table[key] = INF
+            raw[key] = INF
         else:
-            table[key] = int(z - offset)
-    if offset is not None and offset != brute_opt(get_problem("vc"), g):
-        raise AssertionError("vc signature offset differs from brute_opt")
-    return Signature(b.label_set, offset, table)
+            raw[key] = g.n - len(out) - _max_independent(masks, interior & ~nbrs, memo)
+    return raw
 
 
-def ds_signature(b: BoundariedGraph) -> Signature:
+def _ds_table(b: BoundariedGraph, interior: int) -> dict:
     """Three states per boundary vertex: in the set, dominated, or unconstrained."""
-    g = b.graph
-    _check_cap(get_problem("ds"), g)
-    labels = sorted(b.labels)
     bverts = _boundary_in_label_order(b)
-    interior = b.interior()
-    interior_mask = sum(1 << v for v in interior)
     raw = {}
-    for states in itertools.product((IN, DOM, FREE), repeat=len(labels)):
+    for states in itertools.product((IN, DOM, FREE), repeat=len(bverts)):
         forced = 0
-        required = interior_mask
+        required = interior
         for st, v in zip(states, bverts):
             if st == IN:
                 forced |= 1 << v
             elif st == DOM:
                 required |= 1 << v
-        raw[states] = _min_dominating(g, required, interior_mask, forced)
-    finite = [v for v in raw.values() if v < INF]
-    offset = min(finite) if finite else None
-    cap = 2 * len(labels)
-    table = {}
-    for states, z in raw.items():
-        if z == INF or z - offset > cap:
-            table[states] = INF
-        else:
-            table[states] = int(z - offset)
-    if offset is not None and offset != _min_dominating(g, interior_mask, (1 << g.n) - 1, 0):
-        raise AssertionError("ds signature offset differs from the relaxed optimum")
-    return Signature(b.label_set, offset, table)
+        raw[states] = _min_dominating(b.graph, required, interior, forced)
+    return raw
 
 
 def _matchings(labels: list[int]):
@@ -416,7 +414,7 @@ def _matchings(labels: list[int]):
     return out
 
 
-def cycle_packing_signature(b: BoundariedGraph) -> Signature:
+def _cycle_packing_table(b: BoundariedGraph) -> dict:
     """Table over (reserved labels, boundary matching) states: best cycle count
     of a max-degree-2 subgraph that avoids every reserved boundary vertex and
     links each matched pair by a path.
@@ -428,15 +426,14 @@ def cycle_packing_signature(b: BoundariedGraph) -> Signature:
     with one avoiding it).
     """
     g = b.graph
-    _check_cap(get_problem("cyclepacking"), g)
     labels = sorted(b.labels)
     vert = {l: b.vertex_of_label(l) for l in labels}
     edges = sorted(g.edges)
     states = []
     for bits in range(1 << len(labels)):
-        reserved = frozenset(l for i, l in enumerate(labels) if bits >> i & 1)
+        reserved = tuple(l for i, l in enumerate(labels) if bits >> i & 1)
         for R in _matchings([l for l in labels if l not in reserved]):
-            states.append((reserved, R))
+            states.append((reserved, tuple(sorted(R))))
     best: dict[tuple, float] = {st: -INF for st in states}
 
     deg = [0] * g.n
@@ -498,30 +495,13 @@ def cycle_packing_signature(b: BoundariedGraph) -> Signature:
             deg[v] -= 1
 
     branch(0)
-    offset = int(best[(frozenset(), frozenset())])
-    cap = len(labels)
-    table = {}
-    for reserved, R in states:
-        key = (tuple(sorted(reserved)), tuple(sorted(R)))
-        z = best[(reserved, R)]
-        if z == -INF or z - offset < -cap:
-            table[key] = -INF
-        else:
-            table[key] = int(z - offset)
-    if offset != brute_opt(get_problem("cyclepacking"), g):
-        raise AssertionError("cyclepacking signature offset differs from brute_opt")
-    return Signature(b.label_set, offset, table)
+    return best
 
 
-def scattered_signature(b: BoundariedGraph, r: int, t: int | None = None) -> Signature:
-    """Table over per-label distance demands; carries the boundary distance matrix."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
+def _scattered_table(b: BoundariedGraph, r: int) -> tuple[dict, dict]:
+    """Per-label distance demands, and the boundary distance matrix capped at r."""
     g = b.graph
-    _check_cap(get_problem("scattered", r=r), g)
     labels = sorted(b.labels)
-    if t is None:
-        t = len(labels)
     bverts = _boundary_in_label_order(b)
     balls = _balls(g, r)
     ell = {}
@@ -546,95 +526,72 @@ def scattered_signature(b: BoundariedGraph, r: int, t: int | None = None) -> Sig
         for col in cols:
             allowed &= col
         raw[sigma] = _max_independent(conflict, allowed, memo)
-    offset = raw[tuple([0] * len(labels))]
-    table = {}
-    for sigma, z in raw.items():
-        if z - offset < -2 * t:
-            table[sigma] = -INF
-        else:
-            table[sigma] = int(z - offset)
-    if offset != brute_opt(get_problem("scattered", r=r), g):
-        raise AssertionError("scattered signature offset differs from brute_opt")
-    return Signature(b.label_set, offset, table, ell=ell)
+    return raw, ell
 
 
-def _has_short_cycle(g: Graph, s: int) -> bool:
-    return _shortest_cycle_edges(g, s) is not None
-
-
-def sct_signature(b: BoundariedGraph, s: int, t: int | None = None) -> Signature:
-    """Table over boundary-pair distance demands after deleting a short-cycle hitter."""
-    if s < 3:
-        raise ValueError("s must be at least 3")
+def _sct_table(b: BoundariedGraph, s: int) -> dict:
+    """Per demand vector over boundary pairs in label order: fewest edge
+    deletions that leave no cycle of length <= s and put each pair farther
+    apart than its demand."""
     g = b.graph
-    _check_cap(get_problem("sct", s=s), g)
-    labels = sorted(b.labels)
-    if t is None:
-        t = len(labels)
-    bverts = {l: b.vertex_of_label(l) for l in labels}
-    pairs = [
-        (labels[i], labels[j])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-    ]
-    states = list(itertools.product(range(s + 1), repeat=len(pairs)))
-    pending = set(states)
-    raw: dict[tuple, float] = {}
+    bverts = _boundary_in_label_order(b)
+    pairs = list(itertools.combinations(range(len(bverts)), 2))
     edges = sorted(g.edges)
-    for size in range(len(edges) + 1):
-        if not pending:
+    far = (s + 1,) * len(pairs)
+    # pair distances capped at s + 1 -> the first deletion size reaching them
+    first: dict[tuple, int] = {}
+    for cut in itertools.chain.from_iterable(
+        itertools.combinations(edges, size) for size in range(len(edges) + 1)
+    ):
+        masks = list(g.adj_masks)
+        for u, v in cut:
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
+        if any(masks[u] >> v & 1 and _on_short_cycle(masks, u, v, s) for u, v in edges):
+            continue
+        rows = [_ball(masks, v, s) for v in bverts]
+        vec = tuple(
+            next((d for d, ball in enumerate(rows[i]) if ball >> bverts[j] & 1), s + 1)
+            for i, j in pairs
+        )
+        first.setdefault(vec, len(cut))
+        if vec == far:
             break
-        for cut in itertools.combinations(edges, size):
-            rest = Graph(g.n, g.edges - set(cut))
-            if _has_short_cycle(rest, s):
-                continue
-            dists = [
-                distances_from(rest, [bverts[i]])[bverts[j]] for i, j in pairs
-            ]
-            done = []
-            for f in pending:
-                if all(d >= f[idx] + 1 for idx, d in enumerate(dists)):
-                    raw[f] = size
-                    done.append(f)
-            pending.difference_update(done)
-            if not pending:
-                break
-    for f in pending:
-        raw[f] = INF
-    offset = raw[tuple([0] * len(pairs))]
-    if offset == INF:
-        offset = None
-    cap = 3 * (t * (t - 1) // 2)
-    table = {}
-    for f, z in raw.items():
-        if offset is None or z == INF or z - offset > cap:
-            table[f] = INF
-        else:
-            table[f] = int(z - offset)
-    if offset is not None and offset != brute_opt(get_problem("sct", s=s), g):
-        raise AssertionError("sct signature offset differs from brute_opt")
-    return Signature(b.label_set, offset, table)
+    # sizes grow in insertion order, so each demand takes its fewest deletions
+    raw: dict[tuple, int] = {}
+    for vec, size in first.items():
+        for f in itertools.product(*map(range, vec)):
+            raw.setdefault(f, size)
+    return raw
 
 
 def compute_signature(spec: ProblemSpec, b: BoundariedGraph, t: int | None = None) -> Signature:
-    if spec.id == "vc":
-        return vc_signature(b)
+    """b's boundary table for `spec`; t (default: b's boundary size) sets the
+    cap of the is, scattered and sct tables."""
+    g = b.graph
+    _check_cap(spec, g)
+    n = len(b.labels)
+    if t is None:
+        t = n
+    ell = None
     if spec.id == "ds":
-        return ds_signature(b)
-    if spec.id == "is":
-        return scattered_signature(b, 1, t)
-    if spec.id == "scattered":
-        return scattered_signature(b, spec.r, t)
-    if spec.id == "cyclepacking":
-        return cycle_packing_signature(b)
-    if spec.id == "sct":
-        return sct_signature(b, spec.s, t)
-    raise ValueError(f"no signature for problem '{spec.id}'")
-
-
-def has_signature(spec: ProblemSpec) -> bool:
-    """Radius-r domination for r > 1 has a brute oracle but no replacement table."""
-    return not (spec.id == "ds" and spec.params and spec.params[0] > 1)
+        full = (1 << g.n) - 1
+        interior = full & ~sum(1 << v for v in b.boundary)
+        # the offset leaves the boundary undominated
+        reference = _min_dominating(g, interior, full, 0)
+        return _signature(spec, b, _ds_table(b, interior), 2 * n, reference)
+    if spec.id == "vc":
+        raw, cap = _vc_table(b), n
+    elif spec.id == "cyclepacking":
+        raw, cap = _cycle_packing_table(b), n
+    elif spec.id == "sct":
+        raw, cap = _sct_table(b, spec.s), 3 * (t * (t - 1) // 2)
+    elif spec.id in ("is", "scattered"):
+        raw, ell = _scattered_table(b, spec.r if spec.params else 1)
+        cap = 2 * t
+    else:
+        raise ValueError(f"no signature for problem '{spec.id}'")
+    return _signature(spec, b, raw, cap, brute_opt(spec, g), ell)
 
 
 # ---------------------------------------------------------------------------
@@ -644,29 +601,11 @@ def has_signature(spec: ProblemSpec) -> bool:
 def sct_preprocess(g: Graph, s: int) -> tuple[Graph, list[int]]:
     """Drop vertices on no cycle of length <= s, to a fixed point.
 
-    Returns the surviving induced subgraph (densely relabeled) and the removed
-    vertices in original ids.
+    A dropped vertex lies on no short cycle, so dropping it breaks none and
+    one pass reaches the fixed point.  Returns the surviving induced subgraph
+    (densely relabeled) and the removed vertices in original ids.
     """
-    if s < 3:
-        raise ValueError("s must be at least 3")
-    alive = list(range(g.n))
-    cur = g
-    removed: list[int] = []
-    while True:
-        drop = []
-        for v in range(cur.n):
-            on_short = False
-            for u in cur.adj[v]:
-                e = (v, u) if v < u else (u, v)
-                cut = Graph(cur.n, cur.edges - {e})
-                if distances_from(cut, [v])[u] + 1 <= s:
-                    on_short = True
-                    break
-            if not on_short:
-                drop.append(v)
-        if not drop:
-            return cur, sorted(removed)
-        removed.extend(alive[v] for v in drop)
-        keep = [v for v in range(cur.n) if v not in set(drop)]
-        cur, _ = induced_subgraph(cur, keep)
-        alive = [alive[v] for v in keep]
+    masks = list(g.adj_masks)
+    keep = [v for v in range(g.n) if any(_on_short_cycle(masks, v, u, s) for u in g.adj[v])]
+    out, _ = induced_subgraph(g, keep)
+    return out, sorted(set(range(g.n)).difference(keep))

@@ -91,12 +91,14 @@ class TestKernelize:
             ["--problem", "vc", "--split-c", "10"],
             ["--problem", "vc", "--r-search", "0"],
             ["--problem", "vc", "--budget", "0"],
+            ["--problem", "ds", "--r", "2"],
         ],
     )
     def test_bad_parameter_is_argument_error(self, tmp_path, capsys, args):
-        # a ds radius below 1 can turn this NO instance into a YES kernel,
-        # windows of more than 10 vertices are never canonized, and with no
-        # cut set or no candidate to try nothing is ever reduced
+        # a ds radius below 1 can turn this NO instance into a YES kernel, ds
+        # has no table for a radius above 1, windows of more than 10 vertices
+        # are never canonized, and with no cut set or no candidate to try
+        # nothing is ever reduced
         src = tmp_path / "g.txt"
         run("gen", "--family", "path:14", "--out", str(src))
         code = run("kernelize", *args, "--k", "12", "--input", str(src))

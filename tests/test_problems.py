@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 
 from protkern.boundaried import BoundariedGraph, enumerate_boundaried
 from protkern.errors import OracleCapExceeded
-from protkern.graph import Graph, distances_from, generate, parse_family
+from protkern import problems
+from protkern.graph import Graph, distances_from, generate, induced_subgraph, parse_family
 from protkern.problems import (
     ORACLE_EDGE_CAP,
+    _shortest_cycle_edges,
     ProblemInstance,
     Signature,
     brute_opt,
     compute_signature,
-    cycle_packing_signature,
     decide,
-    ds_signature,
     get_problem,
-    scattered_signature,
     sct_preprocess,
-    sct_signature,
-    vc_signature,
 )
 
 INF = math.inf
@@ -92,6 +89,7 @@ class TestGetProblem:
             ("ds", {"s": 3}),
             ("scattered", {"r": 2, "s": 3}),
             ("fvs", {}),
+            ("ds", {"r": 2}),
         ],
     )
     def test_rejects_bad_parameters(self, pid, kw):
@@ -101,7 +99,6 @@ class TestGetProblem:
     def test_ds_radius(self):
         assert get_problem("ds").params == ()
         assert get_problem("ds", r=1) == get_problem("ds")  # radius 1 is plain ds
-        assert get_problem("ds", r=2).params == (2,)
 
 
 class TestBruteOpt:
@@ -131,10 +128,6 @@ class TestBruteOpt:
     def test_scattered_path(self):
         p7 = generate(parse_family("path:7"))
         assert brute_opt(get_problem("scattered", r=2), p7) == 3
-
-    def test_radius_two_domination(self):
-        p7 = generate(parse_family("path:7"))
-        assert brute_opt(get_problem("ds", r=2), p7) == 2
 
     def test_vertex_cap(self):
         g = Graph.from_edges(17, [])
@@ -191,39 +184,41 @@ class TestDecide:
 class TestVertexCoverSignature:
     def test_single_vertex(self):
         b = BoundariedGraph(Graph.from_edges(1, []), (0,), (1,))
-        s = vc_signature(b)
+        s = compute_signature(get_problem("vc"), b)
         assert s.offset == 0 and s.table == {(): 0, (1,): 1}
 
     def test_p3_one_endpoint(self):
-        s = vc_signature(BoundariedGraph(P3, (0,), (1,)))
+        s = compute_signature(get_problem("vc"), BoundariedGraph(P3, (0,), (1,)))
         assert s.offset == 1 and s.table == {(): 0, (1,): 1}
 
     def test_triangle_one_vertex(self):
-        s = vc_signature(BoundariedGraph(K3, (0,), (1,)))
+        s = compute_signature(get_problem("vc"), BoundariedGraph(K3, (0,), (1,)))
         assert s.offset == 2 and s.table == {(): 0, (1,): 0}
 
     def test_infeasible_state(self):
         # an edge between two excluded boundary vertices cannot be covered
         b = BoundariedGraph(Graph.from_edges(2, [(0, 1)]), (0, 1), (1, 2))
-        s = vc_signature(b)
+        s = compute_signature(get_problem("vc"), b)
         assert s.table[()] == INF
 
 
 class TestDominatingSetSignature:
     def test_single_vertex_states(self):
-        s = ds_signature(BoundariedGraph(Graph.from_edges(1, []), (0,), (1,)))
+        b = BoundariedGraph(Graph.from_edges(1, []), (0,), (1,))
+        s = compute_signature(get_problem("ds"), b)
         assert s.offset == 0
         assert s.table[("I",)] == 1
         assert s.table[("D",)] == INF
         assert s.table[("F",)] == 0
 
     def test_edge_all_states_level(self):
-        s = ds_signature(BoundariedGraph(Graph.from_edges(2, [(0, 1)]), (0,), (1,)))
+        b = BoundariedGraph(Graph.from_edges(2, [(0, 1)]), (0,), (1,))
+        s = compute_signature(get_problem("ds"), b)
         assert s.offset == 1
         assert all(v == 0 for v in s.table.values())
 
     def test_p3_endpoint(self):
-        s = ds_signature(BoundariedGraph(P3, (0,), (1,)))
+        s = compute_signature(get_problem("ds"), BoundariedGraph(P3, (0,), (1,)))
         # frozen from the subset-enumeration oracle
         assert s.offset == 1
         assert s.table == {("I",): 1, ("D",): 0, ("F",): 0}
@@ -231,18 +226,18 @@ class TestDominatingSetSignature:
 
 class TestCyclePackingSignature:
     def test_triangle_no_boundary(self):
-        s = cycle_packing_signature(BoundariedGraph(K3, (), ()))
+        s = compute_signature(get_problem("cyclepacking"), BoundariedGraph(K3, (), ()))
         assert s.offset == 1 and s.table == {((), ()): 0}
 
     def test_p3_two_endpoints(self):
-        s = cycle_packing_signature(BoundariedGraph(P3, (0, 2), (1, 2)))
+        s = compute_signature(get_problem("cyclepacking"), BoundariedGraph(P3, (0, 2), (1, 2)))
         assert s.offset == 0
         assert s.table[((), ())] == 0
         assert s.table[((), ((1, 2),))] == 0
 
     def test_disconnected_pair_is_unroutable(self):
         b = BoundariedGraph(Graph.from_edges(2, []), (0, 1), (1, 2))
-        s = cycle_packing_signature(b)
+        s = compute_signature(get_problem("cyclepacking"), b)
         assert s.table[((), ((1, 2),))] == -INF
 
     def test_reserved_label_distinguishes_boundary_use(self):
@@ -253,7 +248,8 @@ class TestCyclePackingSignature:
         avoid = BoundariedGraph(
             Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)]), (0,), (1,)
         )
-        st, sa = cycle_packing_signature(through), cycle_packing_signature(avoid)
+        spec = get_problem("cyclepacking")
+        st, sa = compute_signature(spec, through), compute_signature(spec, avoid)
         assert st.offset == sa.offset == 1
         assert st.table[((1,), ())] == -1
         assert sa.table[((1,), ())] == 0
@@ -263,24 +259,24 @@ class TestCyclePackingSignature:
 class TestScatteredSignature:
     def test_single_vertex_r2(self):
         b = BoundariedGraph(Graph.from_edges(1, []), (0,), (1,))
-        s = scattered_signature(b, 2)
+        s = compute_signature(get_problem("scattered", r=2), b)
         assert s.offset == 1
         assert s.table[(0,)] == 0
         assert s.table[(1,)] == -1 and s.table[(2,)] == -1 and s.table[(3,)] == -1
 
     def test_p3_diameter_two(self):
-        s = scattered_signature(BoundariedGraph(P3, (), ()), 2)
+        s = compute_signature(get_problem("scattered", r=2), BoundariedGraph(P3, (), ()))
         assert s.offset == 1
 
     def test_c5_r1_offset(self):
         c5 = generate(parse_family("cycle:5"))
-        s = scattered_signature(BoundariedGraph(c5, (), ()), 1)
+        s = compute_signature(get_problem("scattered", r=1), BoundariedGraph(c5, (), ()))
         assert s.offset == 2
 
     def test_ell_matrix_capped(self):
         p5 = generate(parse_family("path:5"))
         b = BoundariedGraph(p5, (0, 4), (1, 2))
-        s = scattered_signature(b, 2)
+        s = compute_signature(get_problem("scattered", r=2), b)
         assert s.ell == {(1, 2): 2}  # true distance 4, capped at r
 
 
@@ -337,9 +333,9 @@ def reference_scattered_signature(b, r, t=None):
     return Signature(b.label_set, offset, table, ell=ell)
 
 
-def random_boundaried(rng, max_vertices, max_labels):
+def random_boundaried(rng, max_vertices, max_labels, max_density=1.0):
     n = rng.randint(1, max_vertices)
-    density = rng.random()
+    density = rng.random() * max_density
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
     ]
@@ -347,6 +343,12 @@ def random_boundaried(rng, max_vertices, max_labels):
     boundary = tuple(rng.sample(range(n), count))
     labels = tuple(rng.sample(range(1, max_labels + 3), count))
     return BoundariedGraph(Graph.from_edges(n, edges), boundary, labels)
+
+
+# the reference sct table builds a Graph per edge subset and scans every
+# pending demand: one dense 7-vertex window took 288 s on a 2-CPU x86 VM
+SCT_RANDOM_WINDOWS = 60
+SCT_MAX_DENSITY = 0.6
 
 
 @pytest.fixture(scope="module")
@@ -362,37 +364,166 @@ class TestScatteredMatchesReference:
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_tables_and_offsets(self, signature_windows, r):
         for b in signature_windows:
-            got = scattered_signature(b, r)
+            got = compute_signature(get_problem("scattered", r=r), b)
             want = reference_scattered_signature(b, r)
             assert (got.class_key(), got.offset) == (want.class_key(), want.offset), b
 
 
 class TestShortCycleSignature:
     def test_triangle(self):
-        s = sct_signature(BoundariedGraph(K3, (), ()), 3)
+        s = compute_signature(get_problem("sct", s=3), BoundariedGraph(K3, (), ()))
         assert s.offset == 1 and s.table == {(): 0}
 
     def test_k4_s3(self):
-        s = sct_signature(BoundariedGraph(K4, (), ()), 3)
+        s = compute_signature(get_problem("sct", s=3), BoundariedGraph(K4, (), ()))
         assert s.offset == 2
 
     def test_edgeless_all_finite(self):
         b = BoundariedGraph(Graph.from_edges(3, []), (0, 1), (1, 2))
-        s = sct_signature(b, 3)
+        s = compute_signature(get_problem("sct", s=3), b)
         assert s.offset == 0
         assert all(v == 0 for v in s.table.values())
+
+
+def reference_sct_signature(b, s, t=None):
+    """Table from a validated Graph per edge subset and BFS distance dicts,
+    scanning every pending demand vector."""
+    g = b.graph
+    labels = sorted(b.labels)
+    if t is None:
+        t = len(labels)
+    bverts = {l: b.vertex_of_label(l) for l in labels}
+    pairs = [
+        (labels[i], labels[j])
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+    ]
+    states = list(itertools.product(range(s + 1), repeat=len(pairs)))
+    pending = set(states)
+    raw = {}
+    edges = sorted(g.edges)
+    for size in range(len(edges) + 1):
+        if not pending:
+            break
+        for cut in itertools.combinations(edges, size):
+            rest = Graph(g.n, g.edges - set(cut))
+            if _shortest_cycle_edges(rest, s) is not None:
+                continue
+            dists = [
+                distances_from(rest, [bverts[i]])[bverts[j]] for i, j in pairs
+            ]
+            done = []
+            for f in pending:
+                if all(d >= f[idx] + 1 for idx, d in enumerate(dists)):
+                    raw[f] = size
+                    done.append(f)
+            pending.difference_update(done)
+            if not pending:
+                break
+    for f in pending:
+        raw[f] = INF
+    offset = raw[tuple([0] * len(pairs))]
+    if offset == INF:
+        offset = None
+    cap = 3 * (t * (t - 1) // 2)
+    table = {}
+    for f, z in raw.items():
+        if offset is None or z == INF or z - offset > cap:
+            table[f] = INF
+        else:
+            table[f] = int(z - offset)
+    return Signature(b.label_set, offset, table)
+
+
+def reference_sct_preprocess(g, s):
+    """Fixed point by rounds of validated Graph builds and BFS distance dicts."""
+    alive = list(range(g.n))
+    cur = g
+    removed = []
+    while True:
+        drop = []
+        for v in range(cur.n):
+            on_short = False
+            for u in cur.adj[v]:
+                e = (v, u) if v < u else (u, v)
+                cut = Graph(cur.n, cur.edges - {e})
+                if distances_from(cut, [v])[u] + 1 <= s:
+                    on_short = True
+                    break
+            if not on_short:
+                drop.append(v)
+        if not drop:
+            return cur, sorted(removed)
+        removed.extend(alive[v] for v in drop)
+        keep = [v for v in range(cur.n) if v not in set(drop)]
+        cur, _ = induced_subgraph(cur, keep)
+        alive = [alive[v] for v in keep]
+
+
+class TestShortCycleMatchesReference:
+    @pytest.mark.parametrize("s", [3, 4])
+    def test_tables_and_offsets(self, s):
+        rng = random.Random(s)
+        windows = [b for L in range(4) for b in enumerate_boundaried(4, L)]
+        windows.extend(
+            random_boundaried(rng, 7, 4, SCT_MAX_DENSITY) for _ in range(SCT_RANDOM_WINDOWS)
+        )
+        spec = get_problem("sct", s=s)
+        for b in windows:
+            for t in (None, 2):
+                got = compute_signature(spec, b, t)
+                want = reference_sct_signature(b, s, t)
+                assert (got.class_key(), got.offset) == (want.class_key(), want.offset), b
+
+    @pytest.mark.parametrize("s", [3, 4, 5])
+    def test_preprocess(self, s):
+        rng = random.Random(s)
+        for _ in range(100):
+            n = rng.randint(1, 14)
+            density = rng.random() * 0.5
+            g = Graph.from_edges(
+                n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            )
+            out, removed = sct_preprocess(g, s)
+            want, want_removed = reference_sct_preprocess(g, s)
+            assert (out, removed) == (want, want_removed), g
 
 
 class TestSignatureInfra:
     def test_class_key_deterministic(self):
         b = BoundariedGraph(P3, (0,), (1,))
-        assert vc_signature(b).class_key() == vc_signature(b).class_key()
+        vc = get_problem("vc")
+        assert compute_signature(vc, b).class_key() == compute_signature(vc, b).class_key()
 
     def test_same_class_ignores_offset(self):
-        a = vc_signature(BoundariedGraph(P3, (0,), (1,)))
-        b = vc_signature(BoundariedGraph(Graph.from_edges(1, []), (0,), (1,)))
+        vc = get_problem("vc")
+        a = compute_signature(vc, BoundariedGraph(P3, (0,), (1,)))
+        b = compute_signature(vc, BoundariedGraph(Graph.from_edges(1, []), (0,), (1,)))
         assert a.offset != b.offset
         assert a.same_class(b)
+
+    @pytest.mark.parametrize(
+        "pid,kw",
+        [("vc", {}), ("is", {}), ("scattered", {"r": 2}), ("cyclepacking", {}), ("sct", {"s": 3})],
+    )
+    def test_offset_check_fires(self, monkeypatch, pid, kw):
+        real = problems.brute_opt
+        monkeypatch.setattr(problems, "brute_opt", lambda spec, g: real(spec, g) + 1)
+        b = BoundariedGraph(generate(parse_family("cycle:5")), (0,), (1,))
+        with pytest.raises(AssertionError, match="offset"):
+            compute_signature(get_problem(pid, **kw), b)
+
+    def test_ds_offset_check_fires(self, monkeypatch):
+        # the reference call is the only one that may pick from every vertex
+        real = problems._min_dominating
+
+        def off_by_one(g, required, candidates, forced):
+            return real(g, required, candidates, forced) + (candidates == (1 << g.n) - 1)
+
+        monkeypatch.setattr(problems, "_min_dominating", off_by_one)
+        b = BoundariedGraph(generate(parse_family("cycle:5")), (0,), (1,))
+        with pytest.raises(AssertionError, match="offset"):
+            compute_signature(get_problem("ds"), b)
 
     @pytest.mark.parametrize(
         "pid,kw", [("vc", {}), ("ds", {}), ("is", {}), ("scattered", {"r": 2})]
