@@ -137,7 +137,8 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
                 y = split_protrusion(p, cfg.split_c)
             except ValueError:
                 continue
-            b = split(inst.graph, y).g_x
+            sr = split(inst.graph, y)
+            b = sr.g_x
             try:
                 res = find_replacement(
                     spec, b, cache=cache, budget=cfg.enum_budget, t=cfg.t
@@ -146,7 +147,7 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
                 continue
             if res.status == FOUND:
                 before = inst
-                ap = apply_replacement(inst, y, res.j, res.c)
+                ap = apply_replacement(inst, sr, res.j, res.c)
                 inst = ap.instance
                 log.steps.append(
                     {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,6 +53,57 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def _lowpoint(self) -> tuple:
+        """One lowpoint DFS, roots least vertex first: (preorder, preorder
+        position of each vertex, lowpoint and subtree size per position,
+        first position of each component followed by n).
+
+        A vertex's subtree is the span of its size from its position, and its
+        children's subtrees tile that span after it, so no child lists are
+        kept.  The lowpoint is the least position in the subtree or adjacent
+        to it, so a child's subtree is cut off by its parent at position p iff
+        its lowpoint is at least p.
+        """
+        n, masks = self.n, self.adj_masks
+        pre, index, parent, starts = [], [0] * n, [-1] * n, []
+        unseen = (1 << n) - 1
+        while unseen:
+            root = (unseen & -unseen).bit_length() - 1
+            unseen ^= 1 << root
+            starts.append(len(pre))
+            index[root] = len(pre)
+            pre.append(root)
+            path = [root]
+            while path:
+                nxt = masks[path[-1]] & unseen
+                if not nxt:
+                    path.pop()
+                    continue
+                bit = nxt & -nxt
+                unseen ^= bit
+                w = bit.bit_length() - 1
+                parent[len(pre)] = index[path[-1]]
+                index[w] = len(pre)
+                pre.append(w)
+                path.append(w)
+        low = list(range(n))
+        for u, v in self.edges:
+            iu, iv = index[u], index[v]
+            if iu > iv:
+                iu, iv = iv, iu
+            if iu < low[iv]:
+                low[iv] = iu
+        size = [1] * n
+        for q in range(n - 1, 0, -1):
+            p = parent[q]
+            if p >= 0:
+                size[p] += size[q]
+                if low[q] < low[p]:
+                    low[p] = low[q]
+        starts.append(n)
+        return pre, index, low, size, starts
 
     @property
     def m(self) -> int:
@@ -285,9 +337,14 @@ def induced_subgraph(g: Graph, X) -> tuple[Graph, dict[int, int]]:
 def connected_components(g: Graph, without=()) -> list[list[int]]:
     """Vertex lists of the components of G - without, in least-vertex order.
 
-    The search masks `without` instead of building G - without.
+    A single removed vertex is answered from the graph's cached lowpoint
+    search (see Graph._lowpoint); any other set is masked in a search, which
+    never builds G - without.
     """
-    seen = [False] * g.n
+    if len(without) == 1:
+        for v in without:
+            return _components_without(g, v)
+    adj, seen = g.adj, [False] * g.n
     for v in without:
         seen[v] = True
     comps = []
@@ -297,7 +354,7 @@ def connected_components(g: Graph, without=()) -> list[list[int]]:
         seen[s] = True
         comp = [s]
         for u in comp:
-            for w in g.adj[u]:
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -305,42 +362,46 @@ def connected_components(g: Graph, without=()) -> list[list[int]]:
     return comps
 
 
+def _components_without(g: Graph, v: int) -> list[list[int]]:
+    """Components of G - v as preorder spans: each child subtree of v with
+    lowpoint at least v's position, the rest of v's component with the other
+    child subtrees, and every other component of G."""
+    pre, index, low, size, starts = g._lowpoint
+    p = index[v]
+    i = bisect_right(starts, p) - 1
+    rest, cut_off = pre[starts[i] : p], []
+    q, end = p + 1, p + size[p]
+    while q < end:
+        if low[q] >= p:
+            cut_off.append(pre[q : q + size[q]])
+        else:
+            rest += pre[q : q + size[q]]
+        q += size[q]
+    rest += pre[end : starts[i + 1]]
+    # roots are least vertices, so only the cut-off subtrees need placing
+    comps = list(map(pre.__getitem__, map(slice, starts[:i], starts[1 : i + 1]))) if i else []
+    if rest:
+        comps.append(rest)
+    later = []
+    if i + 2 < len(starts):
+        later = list(map(pre.__getitem__, map(slice, starts[i + 1 : -1], starts[i + 2 :])))
+    later += cut_off
+    if cut_off and len(later) > 1:
+        later.sort(key=min)
+    return comps + later
+
+
 def articulation_points(g: Graph) -> list[int]:
-    """Cut vertices via iterative lowpoint DFS."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    ap = set()
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, iter(g.adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = u
-                    if u == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, iter(g.adj[w])))
-                    advanced = True
-                    break
-                elif w != parent[u]:
-                    low[u] = min(low[u], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= disc[p]:
-                        ap.add(p)
-        if root_children > 1:
-            ap.add(root)
-    return sorted(ap)
+    """Cut vertices in ascending order, from the graph's cached lowpoint
+    search: a root with two child subtrees, or another vertex with a child
+    subtree it cuts off."""
+    pre, _, low, size, starts = g._lowpoint
+    roots, cut = set(starts), []
+    for p in range(g.n):
+        q, end, cut_off = p + 1, p + size[p], 0
+        while q < end:
+            cut_off += low[q] >= p
+            q += size[q]
+        if cut_off > (p in roots):
+            cut.append(pre[p])
+    return sorted(cut)

@@ -80,7 +80,7 @@ class Signature:
     """Boundary-state table of a boundaried graph, normalized by its offset."""
 
     label_set: frozenset[int]
-    offset: int | None
+    offset: int
     table: dict
     ell: dict | None = None  # boundary distance matrix, scattered problems only
 
@@ -337,17 +337,19 @@ def _signature(
 ) -> Signature:
     """Normalize raw state values by the offset, the best finite value in the
     spec's direction; infinite values and those worse than the offset by more
-    than `cap` become the direction's infinity.  The offset must equal
-    `reference`, the optimum computed without the table."""
+    than `cap` become the direction's infinity.  The offset must exist and
+    equal `reference`, the optimum computed without the table."""
     worst = INF if spec.direction == MIN else -INF
     finite = [z for z in raw.values() if z != worst]
-    offset = (min if spec.direction == MIN else max)(finite) if finite else None
-    if offset is not None and offset != reference:
+    if not finite:
+        raise AssertionError(f"{spec.id} signature table has no finite entry")
+    offset = (min if spec.direction == MIN else max)(finite)
+    if offset != reference:
         raise AssertionError(
             f"{spec.id} signature offset {offset} differs from the reference optimum {reference}"
         )
     table = {
-        key: worst if offset is None or abs(z - offset) > cap else int(z - offset)
+        key: worst if abs(z - offset) > cap else int(z - offset)
         for key, z in raw.items()
     }
     return Signature(b.label_set, offset, table, ell)

@@ -6,7 +6,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .boundaried import BoundariedGraph, ClassCursor, canonical_code, edge_mask, from_mask, glue, split
+from .boundaried import BoundariedGraph, ClassCursor, SplitResult, canonical_code, edge_mask, from_mask, glue
 from .errors import OracleCapExceeded
 from .graph import Graph
 from .problems import ProblemInstance, ProblemSpec, compute_signature
@@ -32,13 +32,15 @@ class RepCache:
     with ValueError.  Loading skips and counts lines that do not parse and a
     torn final line with no newline, keeps the last record of a key, and never
     rewrites the file.  Each record is one O_APPEND write, after a newline if
-    the file is torn.
+    the file is torn.  A file answer that passed its check is kept in
+    `checked` for the cache's lifetime, one kernelization in the engine.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.data: dict[str, str] = {}  # key -> answer
         self.skipped = 0  # unparsable lines seen by the load
+        self.checked: dict = {}  # key -> file answer that passed _from_file
         if os.path.exists(path):
             self._load()
 
@@ -112,8 +114,8 @@ def _search(spec: ProblemSpec, t, view: _View, b: BoundariedGraph, bsg: Graph, b
         sig_b = compute_signature(spec, b, t)
     except OracleCapExceeded as exc:
         return str(exc)
-    if sig_b.offset is None or b.graph.n - 1 < len(b.labels):
-        return FindResult(IRREDUCIBLE)  # no class, or nothing smaller carries the boundary
+    if b.graph.n - 1 < len(b.labels):
+        return FindResult(IRREDUCIBLE)  # nothing smaller carries the boundary
     where = (bsg.n, bsg.edges)
     cursor = _CURSORS.get(where) or _CURSORS.setdefault(where, ClassCursor(bsg))
     total = cursor.raw_count(b.graph.n - 1)
@@ -132,8 +134,6 @@ def _search(spec: ProblemSpec, t, view: _View, b: BoundariedGraph, bsg: Graph, b
             view.cap = (raw, str(exc))
             break
         view.pos += 1
-        if sig.offset is None:
-            continue
         label_set, states, values, ell = sig.class_key()
         key = (label_set, view.states.setdefault(states, states), values, ell)
         kept = view.kept.setdefault(key, [])
@@ -179,7 +179,7 @@ def _from_file(spec: ProblemSpec, t, b: BoundariedGraph, bsg: Graph, text: str |
         sig_b, sig_j = compute_signature(spec, b, t), compute_signature(spec, j, t)
     except OracleCapExceeded:
         return None
-    if None in (sig_b.offset, sig_j.offset) or not sig_j.same_class(sig_b):
+    if not sig_j.same_class(sig_b):
         return None
     return FindResult(FOUND, j, c) if c == sig_j.offset - sig_b.offset else None
 
@@ -198,10 +198,11 @@ def find_replacement(
     representatives, which remembers it per (canonical code of b, budget); an
     OracleCapExceeded is remembered and raised again.  A window the table has
     not answered is looked up in the cache file before it is searched; file
-    answers are checked (see _from_file) and never remembered, and each
-    answer of the table is appended to the file once, so a file written here
-    changes no kernel.  c = offset(J) - offset(B) <= 0 always.  Raises
-    CanonizationCapExceeded for b over CANONIZATION_CAP vertices.
+    answers are checked (see _from_file) once per cache and never copied into
+    the table, and each answer of the table is appended to the file once, so
+    a file written here changes no kernel.  c = offset(J) - offset(B) <= 0
+    always.  Raises CanonizationCapExceeded for b over CANONIZATION_CAP
+    vertices.
     """
     if tuple(sorted(b.labels)) != tuple(range(1, len(b.labels) + 1)):
         raise ValueError("boundary labels must be 1..|boundary|")
@@ -215,9 +216,10 @@ def find_replacement(
         params = ",".join(map(str, spec.params))
         key = f"{spec.id}[{params}]\t{t}\t{bsg.n} {edge_mask(bsg)}\t{code.hex()}\t{budget}"
     if known is None and key is not None:
-        known = _from_file(spec, t, b, bsg, cache.data.get(key))
+        known = cache.checked.get(key) or _from_file(spec, t, b, bsg, cache.data.get(key))
         if known is not None:
-            key = None  # a file answer is neither remembered nor appended
+            cache.checked[key] = known
+            key = None  # a file answer is neither kept in the table nor appended
     if known is None:
         known = view.answers[code, budget] = _search(spec, t, view, b, bsg, budget)
     if key is not None:
@@ -234,12 +236,11 @@ class ApplyResult:
 
 
 def apply_replacement(
-    inst: ProblemInstance, X, j: BoundariedGraph, c: int
+    inst: ProblemInstance, sr: SplitResult, j: BoundariedGraph, c: int
 ) -> ApplyResult:
-    """Cut out X, glue j onto the remainder, and shift k by c."""
+    """Glue j onto the remainder of sr, a split of inst.graph, and shift k by c."""
     if c > 0:
         raise ValueError("transposition constant must be nonpositive")
-    sr = split(inst.graph, X)
     if j.label_set != sr.g_x.label_set:
         raise ValueError("replacement label set does not match the cut boundary")
     if j.graph.n >= sr.g_x.graph.n:

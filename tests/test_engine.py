@@ -4,6 +4,7 @@ import random
 import pytest
 
 from protkern import engine, protrusion, replace
+from protkern.boundaried import canonical_code
 from protkern.engine import (
     EngineConfig,
     meta_kernelize,
@@ -161,6 +162,30 @@ class TestDriverLoop:
             assert (again.graph, again.k) == (first.graph, first.k)
             assert log3.steps == log1.steps  # the file changed no kernel
         assert path.read_bytes() == written
+
+    def test_file_answers_checked_once_per_run(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "reps.tsv")
+        inst = ProblemInstance(generate(parse_family("path:360")), 180, VC)
+        fresh_table(monkeypatch)
+        first, log1 = meta_kernelize(inst, cfg(cache_path=path))
+        fresh_table(monkeypatch)
+        keys, calls = set(), []
+        from_file, signature = replace._from_file, replace.compute_signature
+
+        def read(spec, t, b, bsg, text):
+            keys.add((spec, t, canonical_code(b), bsg.n, bsg.edges))
+            return from_file(spec, t, b, bsg, text)
+
+        def counted(*args):
+            calls.append(args)
+            return signature(*args)
+
+        monkeypatch.setattr(replace, "_from_file", read)
+        monkeypatch.setattr(replace, "compute_signature", counted)
+        again, log2 = meta_kernelize(inst, cfg(cache_path=path))
+        assert (again.graph, again.k) == (first.graph, first.k)
+        assert log2.steps == log1.steps
+        assert keys and len(calls) <= 2 * len(keys)
 
     def test_windows_are_remembered(self, monkeypatch):
         fresh_table(monkeypatch)

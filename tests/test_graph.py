@@ -1,5 +1,7 @@
 import math
+import random
 import re
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,60 @@ def random_graph(draw, max_n=10):
 
 
 graphs = st.composite(random_graph)()
+
+
+def masked_components(g, without):
+    """The masked search, the reference for the lowpoint answer."""
+    seen = [v in without for v in range(g.n)]
+    comps = []
+    for s in range(g.n):
+        if not seen[s]:
+            seen[s] = True
+            comp = [s]
+            for u in comp:
+                for w in g.adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            comps.append(sorted(comp))
+    return comps
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def blocky_graph(rng, n):
+    """Isolated vertices and a few components, each a tree of blocks (edges,
+    cycles, cliques, random dense pieces) glued at cut vertices, relabelled."""
+    edges, top = [], 0
+    while top < n:
+        size = min(n - top, rng.choice([1, 1, 2, 5, 12, 30, 60]))
+        members = [top]
+        while len(members) < size:
+            first = top + len(members)
+            grow = min(size - len(members), rng.randint(1, 5))
+            block = [rng.choice(members), *range(first, first + grow)]
+            kind = rng.randrange(3)
+            if kind == 0:
+                edges += [(block[i], block[i + 1]) for i in range(len(block) - 1)]
+                if len(block) > 2:
+                    edges.append((block[-1], block[0]))
+            elif kind == 1:
+                edges += [(a, b) for i, a in enumerate(block) for b in block[i + 1 :]]
+            else:
+                edges += [(block[i], block[i + 1]) for i in range(len(block) - 1)]
+                edges += [(a, b) for a in block for b in block if a < b and rng.random() < 0.4]
+            members += block[1:]
+        top += size
+    return relabelled(Graph.from_edges(n, edges), rng)
+
+
+def reference_articulation_points(g):
+    base = len(masked_components(g, ()))
+    return [v for v in range(g.n) if len(masked_components(g, {v})) > base - (not g.adj[v])]
 
 
 class TestGraphBasics:
@@ -191,3 +247,48 @@ class TestOperations:
             extra_isolated = 1 if len(g.adj[v]) == 0 else 0
             grew = len(connected_components(rest)) > base - extra_isolated
             assert (v in arts) == grew
+
+
+class TestLowpointComponents:
+    """connected_components(g, {v}) and articulation_points read one cached
+    lowpoint search; the masked search is their reference."""
+
+    def cases(self):
+        rng = random.Random(12)
+        yield relabelled(generate(parse_family("path:200")), rng)
+        for n in (1, 2, 7, 20, 45, 80, 130):
+            for _ in range(4):
+                yield blocky_graph(rng, n)
+        yield generate(parse_family("grid-with-pendant-paths:3,3,4,5+cycle:6+path:1"))
+
+    def test_single_vertex_matches_masked_search(self):
+        for g in self.cases():
+            for v in range(g.n):
+                got = connected_components(g, {v})
+                assert [sorted(c) for c in got] == masked_components(g, {v}), (g, v)
+
+    def test_articulation_points_above_64_vertices(self):
+        big = [g for g in self.cases() if g.n > 64]
+        assert len(big) >= 9 and any(articulation_points(g) for g in big)
+        for g in big:
+            assert articulation_points(g) == reference_articulation_points(g)
+
+    def test_one_search_per_graph(self, monkeypatch):
+        runs = []
+        search = Graph._lowpoint.func
+
+        def counted(g):
+            runs.append(g)
+            return search(g)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Graph, "_lowpoint")
+        monkeypatch.setattr(Graph, "_lowpoint", prop)
+        graphs = [generate(parse_family("path:30")), generate(parse_family("cycle:9"))]
+        for g in graphs:
+            for v in range(g.n):
+                connected_components(g, {v})
+                connected_components(g, (v,))
+            articulation_points(g)
+            connected_components(g, {0, 1})
+        assert runs == graphs

@@ -513,6 +513,20 @@ class TestSignatureInfra:
         with pytest.raises(AssertionError, match="offset"):
             compute_signature(get_problem(pid, **kw), b)
 
+    def test_table_without_finite_entry_raises(self, monkeypatch):
+        b = BoundariedGraph(generate(parse_family("cycle:5")), (0,), (1,))
+        real_vc, real_is = problems._vc_table, problems._scattered_table
+        monkeypatch.setattr(problems, "_vc_table", lambda b: dict.fromkeys(real_vc(b), INF))
+
+        def no_finite_is(b, r):
+            raw, ell = real_is(b, r)
+            return dict.fromkeys(raw, -INF), ell
+
+        monkeypatch.setattr(problems, "_scattered_table", no_finite_is)
+        for pid in ("vc", "is"):
+            with pytest.raises(AssertionError, match="no finite entry"):
+                compute_signature(get_problem(pid), b)
+
     def test_ds_offset_check_fires(self, monkeypatch):
         # the reference call is the only one that may pick from every vertex
         real = problems._min_dominating

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protkern import protrusion
 from protkern.boundaried import boundary_of
 from protkern.graph import Graph, connected_components, generate, induced_subgraph, parse_family
 from protkern.protrusion import (
@@ -100,6 +101,39 @@ class TestComputeXRMinSize:
         assert len(compute_xr(g, {40}, vertex_cap=32, min_size=10).X) == 10
         res = compute_xr(g, {40}, vertex_cap=32, min_size=11)
         assert res.X == frozenset({40}) and len(res.warnings) == 1
+
+
+class TestComputeXRSingleton:
+    """compute_xr at |R| = 1, where G - R comes from the graph's lowpoint
+    search, against the components of the rebuilt graph G - R."""
+
+    @staticmethod
+    def rebuilt_components(g, without):
+        sub, remap = induced_subgraph(g, set(range(g.n)) - set(without))
+        back = sorted(remap)
+        return [[back[i] for i in comp] for comp in connected_components(sub)]
+
+    def hosts(self):
+        # removing vertex 0 leaves a 40-vertex path and a 41-vertex rest, both
+        # over the cap, in an order the relabelling decides
+        hub = generate(parse_family("star-of-paths:1,40+star-of-paths:1,35+cycle:5"))
+        hub = Graph.from_edges(hub.n, hub.edges | {(0, 41), (0, 77), (41, 79)})
+        yield shuffled(hub, 3)
+        yield shuffled(generate(parse_family("path:200")), 5)
+        yield shuffled(generate(parse_family("grid-with-pendant-paths:3,3,3,12+path:4")), 1)
+        yield generate(parse_family("random-sparse:40,6"))
+
+    def test_matches_rebuilt_components(self, monkeypatch):
+        cases = [(g, v) for g in self.hosts() for v in range(g.n)]
+        got = [compute_xr(g, {v}) for g, v in cases]
+        monkeypatch.setattr(protrusion, "connected_components", self.rebuilt_components)
+        assert any(len(xr.warnings) == 2 for xr in got)
+        for (g, v), xr in zip(cases, got):
+            ref = compute_xr(g, {v})
+            assert xr.X == ref.X and xr.warnings == ref.warnings, (g, v)
+            assert [(sorted(c), td) for c, td in xr.components] == [
+                (sorted(c), td) for c, td in ref.components
+            ]
 
 
 def reference_xr_witness(g: Graph, R: frozenset[int], X: frozenset[int]):

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import protkern
@@ -22,3 +24,22 @@ def test_src_line_cap():
     # their lines with removals
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py"))
     assert lines <= 2622
+
+
+def test_traced_functions_exist():
+    # perfbench/spans.py wraps these by name; a renamed or deleted one breaks
+    # only the traced benchmark run
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    [traced] = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and list(map(ast.unparse, node.targets)) == ["TRACED"]
+    ]
+    assert traced
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fn in traced
+        if not inspect.isfunction(getattr(importlib.import_module(f"protkern.{mod}"), fn, None))
+    ]
+    assert missing == []
+
