@@ -122,7 +122,8 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
     while True:
         if inst.k < 0:
             return trivial_instance(spec), log
-        if inst.graph.n <= max(inst.k, 0):
+        # X_R lies in V, so no cut set of a graph under the threshold can fire
+        if inst.graph.n <= max(inst.k, 0) or inst.graph.n < cfg.size_threshold:
             return inst, log
         fired = False
         for R in _candidate_sets(inst.graph, cfg.r_search, cfg.split_c):

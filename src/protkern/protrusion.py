@@ -10,6 +10,8 @@ from .treewidth import (
     FORGET,
     NiceTreeDecomposition,
     TreeDecomposition,
+    _bits,
+    _NiceBuilder,
     decide_tw_leq,
     make_nice,
 )
@@ -122,38 +124,29 @@ def split_protrusion(p: Protrusion, c: int) -> frozenset[int]:
     if len(p.X) <= 2 * c:
         return p.X
 
-    nice = make_nice(p.witness)
+    nice = _NiceBuilder(p.witness)
     back = sorted(p.X)
-    bd_local = frozenset(i for i, v in enumerate(back) if v in p.boundary)
-    ch = nice.children()
-    root = nice.root
-    # post-order subtree vertex sets and depths
-    depth = [0] * nice.num_nodes
-    order = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in ch[u]:
-            depth[w] = depth[u] + 1
-            stack.append(w)
-    cover: list[frozenset[int]] = [frozenset()] * nice.num_nodes
-    for u in reversed(order):
-        s = set(nice.bags[u]) | set(bd_local)
-        for w in ch[u]:
-            s |= cover[w]
-        cover[u] = frozenset(s)
-    candidates = [u for u in range(nice.num_nodes) if len(cover[u]) > c]
+    bd_local = sum(1 << i for i, v in enumerate(back) if v in p.boundary)
+    parent = nice.parent
+    # subtree vertex masks and depths: every node's id exceeds its descendants'
+    cover = [bag | bd_local for bag in nice.bags]
+    for u, pu in enumerate(parent):
+        if pu is not None:
+            cover[pu] |= cover[u]
+    depth = [0] * len(parent)
+    for u in reversed(range(len(parent))):
+        if parent[u] is not None:
+            depth[u] = depth[parent[u]] + 1
+    candidates = [u for u in range(len(cover)) if cover[u].bit_count() > c]
     b = max(candidates, key=lambda u: (depth[u], -u))
-    if any(len(cover[w]) > c for w in ch[b]):
+    if any(parent[w] == b and cover[w].bit_count() > c for w in range(b)):
         raise AssertionError("chosen node is not deepest")
-    y_local = cover[b]
-    if not (c < len(y_local) <= 2 * c):
+    if not (c < cover[b].bit_count() <= 2 * c):
         # can only happen when a single bag plus the boundary overshoots 2c
         raise ValueError(
             f"cannot extract a window in ({c}, {2 * c}] from this protrusion"
         )
-    return frozenset(back[v] for v in y_local)
+    return frozenset(back[v] for v in _bits(cover[b]))
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,13 @@ class _View:
 
 
 # The table of representatives: one class cursor per (|B|, boundary subgraph),
-# shared by every problem, and one view per (spec, t) on it.  It lives for the
-# process, so later kernelizations reuse the classes, signatures and window
-# answers earlier ones took.  Not thread-safe.
+# shared by every problem, one view per (spec, t) on it, and the canonical
+# code of each raw window met.  It lives for the process, so later
+# kernelizations reuse the classes, signatures, codes and window answers
+# earlier ones took.  Not thread-safe.
 _CURSORS: dict[tuple[int, frozenset], ClassCursor] = {}
 _VIEWS: dict[tuple, _View] = {}
+_CODES: dict[tuple, bytes] = {}  # raw window (n, edges, boundary, labels) -> canonical code
 
 
 def _search(spec: ProblemSpec, t, view: _View, b: BoundariedGraph, bsg: Graph, budget):
@@ -196,17 +198,19 @@ def find_replacement(
     The answer is the first hit of the smallest-first enumeration with the
     boundary subgraph pinned, taken from the process-wide table of
     representatives, which remembers it per (canonical code of b, budget); an
-    OracleCapExceeded is remembered and raised again.  A window the table has
-    not answered is looked up in the cache file before it is searched; file
-    answers are checked (see _from_file) once per cache and never copied into
-    the table, and each answer of the table is appended to the file once, so
-    a file written here changes no kernel.  c = offset(J) - offset(B) <= 0
-    always.  Raises CanonizationCapExceeded for b over CANONIZATION_CAP
-    vertices.
+    OracleCapExceeded is remembered and raised again.  The table also keeps
+    each raw window's code, so a window met again is not canonized.  A window
+    the table has not answered is looked up in the cache file before it is
+    searched; file answers are checked (see _from_file) once per cache and
+    never copied into the table, and each answer of the table is appended to
+    the file once, so a file written here changes no kernel.
+    c = offset(J) - offset(B) <= 0 always.  Raises CanonizationCapExceeded
+    for b over CANONIZATION_CAP vertices.
     """
     if tuple(sorted(b.labels)) != tuple(range(1, len(b.labels) + 1)):
         raise ValueError("boundary labels must be 1..|boundary|")
-    code = canonical_code(b)
+    raw = (b.graph.n, b.graph.edges, b.boundary, b.labels)
+    code = _CODES.get(raw) or _CODES.setdefault(raw, canonical_code(b))
     bsg = b.boundary_subgraph()
     at = (spec, t, bsg.n, bsg.edges)
     view = _VIEWS.get(at) or _VIEWS.setdefault(at, _View())

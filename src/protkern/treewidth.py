@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import TooLargeForExactTreewidth
@@ -84,21 +83,21 @@ def validate(td: TreeDecomposition) -> list[str]:
     # in a tree, the nodes holding v are connected iff exactly one of them is
     # the root or has a parent without v
     tops = [0] * g.n
-    covered = set()
+    holds = [0] * g.n  # mask of the nodes whose bag holds the vertex
     for i, bag in enumerate(bags):
         up = bags[parent[i]] if parent[i] is not None else ()
         for v in bag:
             if not (0 <= v < g.n):
                 out.append(f"bag vertex {v} outside the host graph")
-            elif v not in up:
-                tops[v] += 1
-        covered.update(itertools.combinations(sorted(bag), 2))
+                continue
+            holds[v] |= 1 << i
+            tops[v] += v not in up
     for v, count in enumerate(tops):
         if count == 0:
             out.append(f"vertex {v} appears in no bag")
         elif count > 1:
             out.append(f"occurrences of vertex {v} are disconnected")
-    for u, v in sorted(g.edges - covered):
+    for u, v in sorted(e for e in g.edges if not holds[e[0]] & holds[e[1]]):
         out.append(f"edge ({u},{v}) not contained in any bag")
     if isinstance(td, NiceTreeDecomposition):
         out.extend(_validate_nice(td, ch))
@@ -279,12 +278,35 @@ def _assemble(g: Graph, order: list[int], bags: list[int], rest: int) -> TreeDec
 
 
 class _NiceBuilder:
-    def __init__(self):
-        self.bags: list[frozenset[int]] = []
+    """make_nice's nodes, with each bag a vertex mask.
+
+    Validates td first.  A node is created after all of its descendants, so
+    node ids are a post-order and the root is the last node.
+    """
+
+    def __init__(self, td: TreeDecomposition):
+        bad = validate(td)
+        if bad:
+            raise ValueError("invalid tree decomposition: " + "; ".join(bad))
+        self.bags: list[int] = []
         self.kinds: list[str] = []
         self.parent: list = []
+        ch = td.children()  # each child list is ascending
+        masks = [sum(1 << v for v in bag) for bag in td.bags]
 
-    def add(self, bag: frozenset[int], kind: str, children: list[int]) -> int:
+        def build(node: int) -> int:
+            bag = masks[node]
+            if not ch[node]:  # a leaf of the lowest vertex, then introduce the rest
+                return self.transition(self.add(bag & -bag, LEAF), bag)
+            tops = [self.transition(build(k), bag) for k in ch[node]]
+            top = tops[0]
+            for other in tops[1:]:
+                top = self.add(bag, JOIN, top, other)
+            return top
+
+        build(td.root)
+
+    def add(self, bag: int, kind: str, *children: int) -> int:
         node = len(self.bags)
         self.bags.append(bag)
         self.kinds.append(kind)
@@ -293,46 +315,21 @@ class _NiceBuilder:
             self.parent[c] = node
         return node
 
-    def leaf_chain(self, bag: frozenset[int]) -> int:
-        """Leaf plus introduce chain building up to `bag`."""
-        order = sorted(bag)
-        if not order:
-            return self.add(frozenset(), LEAF, [])
-        node = self.add(frozenset(order[:1]), LEAF, [])
-        for i in range(1, len(order)):
-            node = self.add(frozenset(order[: i + 1]), INTRODUCE, [node])
-        return node
-
-    def transition(self, node: int, target: frozenset[int]) -> int:
-        """Forget/introduce chain from the bag at `node` up to `target`."""
+    def transition(self, node: int, target: int) -> int:
+        """Forget/introduce chain from the bag at `node` up to `target`, each
+        in ascending vertex order."""
         cur = self.bags[node]
-        for v in sorted(cur - target):
-            cur = cur - {v}
-            node = self.add(cur, FORGET, [node])
-        for v in sorted(target - cur):
-            cur = cur | {v}
-            node = self.add(cur, INTRODUCE, [node])
+        for kind, change in ((FORGET, cur & ~target), (INTRODUCE, target & ~cur)):
+            while change:
+                low = change & -change
+                change ^= low
+                cur ^= low
+                node = self.add(cur, kind, node)
         return node
 
 
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Width-preserving nice form of td, with the same root."""
-    bad = validate(td)
-    if bad:
-        raise ValueError("invalid tree decomposition: " + "; ".join(bad))
-    ch = td.children()
-    b = _NiceBuilder()
-
-    def build(node: int) -> int:
-        kids = ch[node]
-        bag = td.bags[node]
-        if not kids:
-            return b.leaf_chain(bag)
-        tops = [b.transition(build(k), bag) for k in sorted(kids)]
-        top = tops[0]
-        for other in tops[1:]:
-            top = b.add(bag, JOIN, [top, other])
-        return top
-
-    build(td.root)
-    return NiceTreeDecomposition(td.graph, tuple(b.parent), tuple(b.bags), tuple(b.kinds))
+    b = _NiceBuilder(td)
+    bags = [frozenset(_bits(bag)) for bag in b.bags]
+    return NiceTreeDecomposition(td.graph, tuple(b.parent), tuple(bags), tuple(b.kinds))

@@ -19,6 +19,7 @@ from protkern.problems import (
     decide,
     get_problem,
 )
+from protkern.replace import find_replacement
 
 VC = get_problem("vc")
 DS = get_problem("ds")
@@ -32,23 +33,28 @@ def cfg(**kw):
 def fresh_table(monkeypatch):
     monkeypatch.setattr(replace, "_CURSORS", {})
     monkeypatch.setattr(replace, "_VIEWS", {})
+    monkeypatch.setattr(replace, "_CODES", {})
 
 
 def count_treewidth_calls(monkeypatch) -> dict:
-    """Count the engine's compute_xr calls and the decide_tw_leq calls they make."""
-    calls = {"compute_xr": 0, "decide_tw_leq": 0}
+    """Count the engine's compute_xr calls, those of them that decide some
+    treewidth, and the decide_tw_leq calls they make."""
+    calls = {"compute_xr": 0, "deciding": 0, "decide_tw_leq": 0}
+    xr, decide = engine.compute_xr, protrusion.decide_tw_leq
 
-    def counted(module, name):
-        fn = getattr(module, name)
+    def counted_xr(*args, **kwargs):
+        before = calls["decide_tw_leq"]
+        calls["compute_xr"] += 1
+        out = xr(*args, **kwargs)
+        calls["deciding"] += calls["decide_tw_leq"] > before
+        return out
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_decide(*args, **kwargs):
+        calls["decide_tw_leq"] += 1
+        return decide(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(engine, "compute_xr")
-    counted(protrusion, "decide_tw_leq")
+    monkeypatch.setattr(engine, "compute_xr", counted_xr)
+    monkeypatch.setattr(protrusion, "decide_tw_leq", counted_decide)
     return calls
 
 
@@ -235,14 +241,75 @@ class TestDriverLoop:
         g = generate(parse_family("grid:2,10"))
         out, log = meta_kernelize(ProblemInstance(g, 10, VC), cfg(t=2))
         assert (out.graph, out.k, log.steps) == (g, 10, [])
-        assert calls["compute_xr"] > 0 and calls["decide_tw_leq"] == 0
+        assert calls["compute_xr"] == 0 and calls["decide_tw_leq"] == 0
+
+    def test_graph_under_threshold_returned_at_once(self, monkeypatch, tmp_path):
+        calls = count_treewidth_calls(monkeypatch)
+        g = generate(parse_family("path:6"))
+        out, log = meta_kernelize(ProblemInstance(g, 2, VC), cfg())
+        assert (out.graph, out.k, log.steps, log.warnings) == (g, 2, [], [])
+        # the sct preprocessing still runs and logs first
+        tri = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        out, log = meta_kernelize(ProblemInstance(tri, 0, get_problem("sct", s=3)), cfg())
+        assert (out.graph.n, log.steps) == (3, [])
+        assert log.warnings == ["preprocessing removed 2 vertices on no short cycle"]
+        assert calls["compute_xr"] == 0
+        # a negative budget still collapses, and a bad cache file is still refused
+        out, _ = meta_kernelize(ProblemInstance(g, -1, VC), cfg())
+        assert out == trivial_instance(VC)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("not a cache\n")
+        with pytest.raises(ValueError, match="not in format"):
+            meta_kernelize(ProblemInstance(g, 2, VC), cfg(cache_path=str(bad)))
+
+    def test_window_codes_are_remembered(self, monkeypatch, tmp_path):
+        fresh_table(monkeypatch)
+        windows = []
+
+        def recorded(spec, b, **kwargs):
+            windows.append(b)
+            return find_replacement(spec, b, **kwargs)
+
+        monkeypatch.setattr(engine, "find_replacement", recorded)
+        path = tmp_path / "reps.tsv"
+        runs = [(VC, generate(parse_family("path:60")), 30, None)]
+        for family, seed in [("path:12", 12), ("cycle:12", 13), ("grid:3,4", 4), ("random-sparse:12,14", 104)]:
+            g = generate(parse_family(family, seed=seed))
+            runs += [(spec, g, brute_opt(spec, g), 11) for spec in CORPUS_SPECS.values()]
+
+        def kernelize_all():
+            outs = []
+            for spec, g, k, threshold in runs:
+                config = cfg(size_threshold=threshold, cache_path=str(path))
+                out, log = meta_kernelize(ProblemInstance(g, k, spec), config)
+                outs.append((out.graph, out.k, log.steps))
+            return outs
+
+        first = kernelize_all()
+        assert len(windows) > len(replace._CODES) > 0
+        for b in windows:
+            raw = (b.graph.n, b.graph.edges, b.boundary, b.labels)
+            assert replace._CODES[raw] == canonical_code(b)
+        records = path.read_text().splitlines()[1:]
+        assert {r.split("\t")[3] for r in records} == {canonical_code(b).hex() for b in windows}
+        canonized = []
+
+        def counted(b, *args):
+            canonized.append(b)
+            return canonical_code(b, *args)
+
+        monkeypatch.setattr(replace, "canonical_code", counted)
+        windows.clear()
+        assert kernelize_all() == first
+        assert windows and canonized == []
 
     def test_path_decides_treewidth_for_fewer_cut_sets(self, monkeypatch):
         calls = count_treewidth_calls(monkeypatch)
         inst = ProblemInstance(generate(parse_family("path:40")), 20, VC)
         out, log = meta_kernelize(inst, cfg())
         assert log.steps and out.graph.n < 40
-        assert 0 < calls["decide_tw_leq"] < calls["compute_xr"]
+        # 7 of the 15 cut sets tried before the 8 splices have too small a region
+        assert 0 < calls["deciding"] < calls["compute_xr"]
 
     @pytest.mark.parametrize("pid", ["vc", "ds", "is", "cyclepacking"])
     def test_decision_agreement_over_k_range(self, pid):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,8 @@ from protkern.protrusion import (
     split_protrusion,
     xr_protrusion,
 )
-from protkern.treewidth import decide_tw_leq, validate, width
+from protkern.treewidth import decide_tw_leq, make_nice, validate, width
+from test_acceptance import _random_protrusion_host
 
 
 def pendant_path_host():
@@ -248,6 +250,83 @@ class TestSplitProtrusion:
         p = is_protrusion(g, frozenset(range(9, 21)) | {0}, 1)
         y = split_protrusion(p, 5)
         assert is_protrusion(g, y, 2 * p.t + 1) is not None
+
+
+def reference_split_protrusion(p, c: int) -> frozenset[int]:
+    """split_protrusion's window, walked on make_nice's frozenset nice form."""
+    if c <= 0:
+        raise ValueError("split target c must be positive")
+    if len(p.X) <= c:
+        raise ValueError("protrusion is not larger than c")
+    if len(p.X) <= 2 * c:
+        return p.X
+    nice = make_nice(p.witness)
+    back = sorted(p.X)
+    bd_local = frozenset(i for i, v in enumerate(back) if v in p.boundary)
+    ch = nice.children()
+    depth = [0] * nice.num_nodes
+    order = []
+    stack = [nice.root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in ch[u]:
+            depth[w] = depth[u] + 1
+            stack.append(w)
+    cover: list[frozenset[int]] = [frozenset()] * nice.num_nodes
+    for u in reversed(order):
+        s = set(nice.bags[u]) | set(bd_local)
+        for w in ch[u]:
+            s |= cover[w]
+        cover[u] = frozenset(s)
+    candidates = [u for u in range(nice.num_nodes) if len(cover[u]) > c]
+    b = max(candidates, key=lambda u: (depth[u], -u))
+    if any(len(cover[w]) > c for w in ch[b]):
+        raise AssertionError("chosen node is not deepest")
+    y_local = cover[b]
+    if not (c < len(y_local) <= 2 * c):
+        raise ValueError(f"cannot extract a window in ({c}, {2 * c}] from this protrusion")
+    return frozenset(back[v] for v in y_local)
+
+
+def assert_split_matches_reference(p) -> int:
+    """Compare the windows (or ValueErrors) for c = 1..9; returns the windows cut."""
+    cut = 0
+    for c in range(1, 10):
+        try:
+            want = reference_split_protrusion(p, c)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                split_protrusion(p, c)
+            continue
+        assert split_protrusion(p, c) == want, (sorted(p.X), c)
+        cut += len(p.X) > 2 * c
+    return cut
+
+
+class TestSplitProtrusionReference:
+    """split_protrusion on the mask nice form against the frozenset walk."""
+
+    @pytest.mark.parametrize(
+        "family",
+        ["grid-with-pendant-paths:3,3,2,6", "star-of-paths:4,5", "grid:2,8", "random-sparse:14,20"],
+    )
+    def test_matches_reference_on_xr_witnesses(self, family):
+        g = shuffled(generate(parse_family(family)), 0)
+        cut = 0
+        for R in map(frozenset, cut_sets(g.n, (1, 2))):
+            xr = compute_xr(g, R)
+            if xr.components:
+                cut += assert_split_matches_reference(xr_protrusion(g, R, xr))
+        assert cut > 0
+
+    def test_matches_reference_on_random_hosts(self):
+        rng = random.Random(2024)
+        cut = 0
+        for _ in range(100):
+            g, X, t = _random_protrusion_host(rng)
+            cut += assert_split_matches_reference(is_protrusion(g, X, t, vertex_cap=64))
+        assert cut > 0
 
 
 class TestPartitionProtrusion:

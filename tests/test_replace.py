@@ -232,6 +232,7 @@ def _outcome(search, spec, b, budget, t):
 def _fresh_table(monkeypatch):
     monkeypatch.setattr(replace, "_CURSORS", {})
     monkeypatch.setattr(replace, "_VIEWS", {})
+    monkeypatch.setattr(replace, "_CODES", {})
 
 
 def _check_against_reference(monkeypatch, queries):

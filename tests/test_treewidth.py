@@ -10,10 +10,12 @@ from protkern.errors import TooLargeForExactTreewidth
 from protkern.graph import Graph, generate, parse_family
 from protkern.protrusion import compute_xr, xr_protrusion
 from protkern.treewidth import (
+    FORGET,
+    INTRODUCE,
     JOIN,
+    LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
-    _NiceBuilder,
     _validate_nice,
     decide_tw_leq,
     make_nice,
@@ -196,6 +198,45 @@ def reference_validate(td: TreeDecomposition) -> list[str]:
     return out
 
 
+class ReferenceNiceBuilder:
+    """The nice-form builder on frozenset bags, kept apart from the package's."""
+
+    def __init__(self):
+        self.bags: list[frozenset[int]] = []
+        self.kinds: list[str] = []
+        self.parent: list = []
+
+    def add(self, bag: frozenset[int], kind: str, children: list[int]) -> int:
+        node = len(self.bags)
+        self.bags.append(bag)
+        self.kinds.append(kind)
+        self.parent.append(None)
+        for c in children:
+            self.parent[c] = node
+        return node
+
+    def leaf_chain(self, bag: frozenset[int]) -> int:
+        """Leaf plus introduce chain building up to `bag`."""
+        order = sorted(bag)
+        if not order:
+            return self.add(frozenset(), LEAF, [])
+        node = self.add(frozenset(order[:1]), LEAF, [])
+        for i in range(1, len(order)):
+            node = self.add(frozenset(order[: i + 1]), INTRODUCE, [node])
+        return node
+
+    def transition(self, node: int, target: frozenset[int]) -> int:
+        """Forget/introduce chain from the bag at `node` up to `target`."""
+        cur = self.bags[node]
+        for v in sorted(cur - target):
+            cur = cur - {v}
+            node = self.add(cur, FORGET, [node])
+        for v in sorted(target - cur):
+            cur = cur | {v}
+            node = self.add(cur, INTRODUCE, [node])
+        return node
+
+
 def reference_make_nice(td: TreeDecomposition, root: int) -> NiceTreeDecomposition:
     """Nice form after re-orienting the parent links toward `root`."""
     ch: list[list[int]] = [[] for _ in td.bags]
@@ -213,7 +254,7 @@ def reference_make_nice(td: TreeDecomposition, root: int) -> NiceTreeDecompositi
                 seen.add(w)
                 ch[u].append(w)
                 stack.append(w)
-    b = _NiceBuilder()
+    b = ReferenceNiceBuilder()
 
     def build(node: int) -> int:
         bag = td.bags[node]
