@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CanonizationCapExceeded, EnumerationBudgetExceeded
+from .errors import CanonizationCapExceeded
 from .graph import Graph, induced_subgraph
 
 CANONIZATION_CAP = 10
@@ -157,18 +157,12 @@ def canonical_code(b: BoundariedGraph, cap: int = CANONIZATION_CAP) -> bytes:
     return header + (best or 0).to_bytes(max(nbytes, 1), "big")
 
 
-def _candidates(
-    label_count: int,
-    pinned: frozenset | None,
-    max_vertices: int | None = None,
-    budget: int | None = None,
-):
+def _candidates(label_count: int, pinned: frozenset | None, max_vertices: int | None = None):
     """Each raw candidate of the smallest-first enumeration, in order: its
     boundaried graph when it opens a new label-fixing isomorphism class, else
     None. `pinned`, the boundary-induced edges (vertex i-1 for label i), fixes
     the boundary pairs; None leaves them free. With no max_vertices it never ends.
     """
-    examined = 0
     boundary = tuple(range(label_count))
     labels = tuple(range(1, label_count + 1))
     n = label_count
@@ -178,11 +172,6 @@ def _candidates(
         base = [p for p in pairs if pinned is not None and p[1] < label_count and p in pinned]
         seen = set()
         for bits in range(1 << len(free)):
-            if budget is not None and examined >= budget:
-                raise EnumerationBudgetExceeded(
-                    f"enumeration exceeded budget of {budget} candidates"
-                )
-            examined += 1
             edges = list(base)
             for i, p in enumerate(free):
                 if bits >> i & 1:
@@ -201,22 +190,20 @@ def enumerate_boundaried(
     max_vertices: int,
     label_count: int,
     fixed_boundary_subgraph: Graph | None = None,
-    budget: int | None = None,
 ):
     """One representative per label-fixing isomorphism class, smallest first.
 
     Yields boundaried graphs with at most max_vertices vertices whose boundary
     is vertices 0..label_count-1 labeled 1..label_count. When
     fixed_boundary_subgraph is given (vertex i-1 standing for label i), only
-    graphs with exactly that boundary-induced subgraph are produced. The
-    budget bounds the number of raw candidates examined, not just yields.
+    graphs with exactly that boundary-induced subgraph are produced.
     """
     if not (max_vertices >= label_count >= 0):
         raise ValueError("need max_vertices >= label_count >= 0")
     if fixed_boundary_subgraph is not None and fixed_boundary_subgraph.n != label_count:
         raise ValueError("fixed boundary subgraph must have label_count vertices")
     pinned = None if fixed_boundary_subgraph is None else fixed_boundary_subgraph.edges
-    for bg in _candidates(label_count, pinned, max_vertices, budget):
+    for bg in _candidates(label_count, pinned, max_vertices):
         if bg is not None:
             yield bg
 

@@ -148,8 +148,7 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
                 continue
             if res.status == FOUND:
                 before = inst
-                ap = apply_replacement(inst, sr, res.j, res.c)
-                inst = ap.instance
+                inst = apply_replacement(inst, sr, res.j, res.c)
                 log.steps.append(
                     {
                         "R": sorted(Rset),

@@ -13,9 +13,5 @@ class CanonizationCapExceeded(ValueError):
     """Graph is too large for brute-force canonization."""
 
 
-class EnumerationBudgetExceeded(RuntimeError):
-    """The boundaried-graph enumerator hit its yield cap."""
-
-
 class OracleCapExceeded(ValueError):
     """Instance exceeds the brute-force oracle size caps."""

@@ -199,99 +199,81 @@ def _min_dominating(g: Graph, required: int, candidates: int, forced: int):
     return best
 
 
-def _enumerate_cycles_through(g: Graph, v: int, avail: frozenset[int]):
-    """Vertex sets of simple cycles through v inside avail (v = minimum id)."""
-    out = []
-    seen = set()
+def _max_cycle_packing(masks: tuple[int, ...]) -> int:
+    """Most vertex-disjoint cycles, memoized per vertex mask: the mask's least
+    vertex v is left out, or closes a cycle along a path through the rest."""
+    memo: dict[int, int] = {}
 
-    def walk(u: int, path: list[int], onpath: set[int]):
-        for w in g.adj[u]:
-            if w == v and len(path) >= 3:
-                key = frozenset(path)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-            elif w > v and w in avail and w not in onpath:
-                onpath.add(w)
-                path.append(w)
-                walk(w, path, onpath)
-                path.pop()
-                onpath.remove(w)
-
-    walk(v, [v], {v})
-    return out
-
-
-def _max_cycle_packing(g: Graph) -> int:
-    memo: dict[frozenset[int], int] = {}
-
-    def go(avail: frozenset[int]) -> int:
-        if len(avail) < 3:
+    def go(avail: int) -> int:
+        if avail.bit_count() < 3:
             return 0
         if avail in memo:
             return memo[avail]
-        v = min(avail)
-        best = go(avail - {v})
-        for cyc in _enumerate_cycles_through(g, v, avail):
-            best = max(best, 1 + go(avail - cyc))
+        v = (avail & -avail).bit_length() - 1
+        rest = avail ^ 1 << v
+        best = go(rest)
+        paths = [(1 << v, v)]  # depth-first: (path's vertex mask, its end)
+        while paths:
+            used, u = paths.pop()
+            if used.bit_count() >= 3 and masks[u] >> v & 1:
+                best = max(best, 1 + go(avail & ~used))
+            nxt = masks[u] & rest & ~used
+            while nxt:
+                low = nxt & -nxt
+                paths.append((used | low, low.bit_length() - 1))
+                nxt ^= low
         memo[avail] = best
         return best
 
-    return go(frozenset(range(g.n)))
+    return go((1 << len(masks)) - 1)
 
 
-def _shortest_cycle_edges(g: Graph, s: int):
-    """Edge list of some cycle of length <= s, or None."""
-    if s == 3:
-        for u, v in sorted(g.edges):
-            common = g.adj[u] & g.adj[v]
-            if common:
-                w = min(common)
-                return [
-                    (u, v),
-                    (min(u, w), max(u, w)),
-                    (min(v, w), max(v, w)),
-                ]
-        return None
-    best = None
-    for u, v in sorted(g.edges):
-        cut = Graph(g.n, g.edges - {(u, v)})
-        # BFS with parents to recover the u..v path
-        par = {u: None}
-        frontier = [u]
-        while frontier and v not in par:
-            nxt = []
-            for x in frontier:
-                for w in cut.adj[x]:
-                    if w not in par:
-                        par[w] = x
-                        nxt.append(w)
-            frontier = nxt
-        if v not in par:
-            continue
-        path = [v]
-        while path[-1] != u:
-            path.append(par[path[-1]])
-        if len(path) > s:
-            continue
-        cyc = [(u, v)]
-        for a, b in zip(path, path[1:]):
-            cyc.append((a, b) if a < b else (b, a))
-        if best is None or len(cyc) < len(best):
-            best = cyc
-    return best
+def _short_cycle(masks: list[int], s: int) -> list[int] | None:
+    """Closed vertex walk u, v, ..., u of a shortest cycle through the first
+    edge uv, in sorted order, that lies on a cycle of length <= s; None if no
+    edge does.  u's BFS layers without the edge uv grow until one meets a
+    neighbour of v or the cycle would be longer than s."""
+    for u, row in enumerate(masks):
+        later = row >> u + 1 << u + 1
+        while later:
+            bit = later & -later
+            later ^= bit
+            v = bit.bit_length() - 1
+            layers = [row ^ bit]
+            seen = 1 << u | row  # v stays out of the layers
+            while layers[-1] and not layers[-1] & masks[v] and len(layers) < s - 2:
+                grown, frontier = 0, layers[-1]
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                layers.append(grown & ~seen)
+                seen |= grown
+            if layers[-1] & masks[v]:
+                walk = [u, v]  # back from v, one layer at a time
+                for layer in reversed(layers):
+                    near = masks[walk[-1]] & layer
+                    walk.append((near & -near).bit_length() - 1)
+                return walk + [u]
+    return None
 
 
-def _min_short_cycle_transversal(g: Graph, s: int, ub: float = INF) -> float:
-    cyc = _shortest_cycle_edges(g, s)
-    if cyc is None:
+def _min_short_cycle_transversal(masks: list[int], s: int, ub: float = INF) -> float:
+    """Fewest edge deletions leaving no cycle of length <= s, branching on the
+    edges of one short cycle; ub if no fewer than ub do (INF when ub <= 0).
+    `masks` is restored before returning."""
+    walk = _short_cycle(masks, s)
+    if walk is None:
         return 0
     if ub <= 0:
         return INF
     best = ub
-    for e in cyc:
-        sub = _min_short_cycle_transversal(Graph(g.n, g.edges - {e}), s, best - 1)
-        best = min(best, 1 + sub)
+    for u, v in zip(walk, walk[1:]):
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        best = min(best, 1 + _min_short_cycle_transversal(masks, s, best - 1))
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
     return best
 
 
@@ -308,9 +290,9 @@ def brute_opt(spec: ProblemSpec, g: Graph) -> int:
     if spec.id == "ds":
         return int(_min_dominating(g, full, full, 0))
     if spec.id == "cyclepacking":
-        return _max_cycle_packing(g)
+        return _max_cycle_packing(g.adj_masks)
     if spec.id == "sct":
-        return int(_min_short_cycle_transversal(g, spec.s))
+        return int(_min_short_cycle_transversal(list(g.adj_masks), spec.s))
     raise ValueError(f"unknown problem id '{spec.id}'")
 
 

@@ -54,12 +54,13 @@ class XRResult:
     components: list[tuple[list[int], TreeDecomposition]]
 
 
-def compute_xr(g: Graph, R, vertex_cap: int = EXACT_TW_VERTEX_CAP, min_size: int = 0) -> XRResult:
+def compute_xr(g: Graph, R, min_size: int = 0) -> XRResult:
     """R plus every component of G-R whose treewidth is at most |R|.
 
-    Components over vertex_cap are skipped with a warning; the smaller region
-    is still a valid protrusion candidate.  If R and the remaining components
-    total under min_size vertices, X is R alone and no treewidth is decided.
+    Components over EXACT_TW_VERTEX_CAP are skipped with a warning; the
+    smaller region is still a valid protrusion candidate.  If R and the
+    remaining components total under min_size vertices, X is R alone and no
+    treewidth is decided.
     """
     R = frozenset(R)
     for v in R:
@@ -67,7 +68,7 @@ def compute_xr(g: Graph, R, vertex_cap: int = EXACT_TW_VERTEX_CAP, min_size: int
             raise ValueError(f"vertex {v} out of range")
     warnings, small = [], []
     for comp in connected_components(g, R):
-        if len(comp) > vertex_cap:
+        if len(comp) > EXACT_TW_VERTEX_CAP:
             warnings.append(
                 f"component of size {len(comp)} skipped: too large for exact treewidth"
             )
@@ -78,7 +79,7 @@ def compute_xr(g: Graph, R, vertex_cap: int = EXACT_TW_VERTEX_CAP, min_size: int
     out, components = set(R), []
     for comp in small:
         sub, _ = induced_subgraph(g, comp)
-        td = decide_tw_leq(sub, len(R), vertex_cap=vertex_cap)
+        td = decide_tw_leq(sub, len(R))
         if td is not None:
             out.update(comp)
             components.append((comp, td))

@@ -233,15 +233,9 @@ def find_replacement(
     return known
 
 
-@dataclass
-class ApplyResult:
-    instance: ProblemInstance
-    heir: dict[int, int]  # vertices outside the replaced set: old id -> new id
-
-
 def apply_replacement(
     inst: ProblemInstance, sr: SplitResult, j: BoundariedGraph, c: int
-) -> ApplyResult:
+) -> ProblemInstance:
     """Glue j onto the remainder of sr, a split of inst.graph, and shift k by c."""
     if c > 0:
         raise ValueError("transposition constant must be nonpositive")
@@ -249,13 +243,7 @@ def apply_replacement(
         raise ValueError("replacement label set does not match the cut boundary")
     if j.graph.n >= sr.g_x.graph.n:
         raise ValueError("replacement is not strictly smaller")
-    glued = glue(j, sr.g_r)
-    heir = {
-        v: glued.heir2[sr.to_r[v]]
-        for v in range(inst.graph.n)
-        if v in sr.to_r
-    }
-    out = ProblemInstance(glued.graph, inst.k + c, inst.spec)
+    out = ProblemInstance(glue(j, sr.g_r).graph, inst.k + c, inst.spec)
     if out.graph.n >= inst.graph.n:
         raise AssertionError("replacement did not shrink the graph")
-    return ApplyResult(out, heir)
+    return out

@@ -13,7 +13,7 @@ from protkern.boundaried import (
     glue,
     split,
 )
-from protkern.errors import CanonizationCapExceeded, EnumerationBudgetExceeded
+from protkern.errors import CanonizationCapExceeded
 from protkern.graph import Graph
 
 
@@ -215,8 +215,3 @@ class TestEnumeration:
         pin = Graph.from_edges(2, [(0, 1)])
         for b in enumerate_boundaried(4, 2, fixed_boundary_subgraph=pin):
             assert b.boundary_subgraph() == pin
-
-    def test_budget(self):
-        gen = enumerate_boundaried(5, 0, budget=3)
-        with pytest.raises(EnumerationBudgetExceeded):
-            list(gen)

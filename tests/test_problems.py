@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from protkern import problems
 from protkern.graph import Graph, distances_from, generate, induced_subgraph, parse_family
 from protkern.problems import (
     ORACLE_EDGE_CAP,
-    _shortest_cycle_edges,
     ProblemInstance,
     Signature,
     brute_opt,
@@ -164,6 +164,56 @@ class TestBruteOpt:
         assert brute_opt(get_problem("scattered", r=1), g) == brute_opt(
             get_problem("is"), g
         )
+
+
+def nx_min_short_cycle_transversal(n, edges, s):
+    """Fewest edges whose removal leaves nx.simple_cycles nothing of length <= s,
+    trying edge subsets in order of size."""
+    for size in range(len(edges) + 1):
+        for cut in itertools.combinations(edges, size):
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(set(edges) - set(cut))
+            if next(nx.simple_cycles(h, length_bound=s), None) is None:
+                return size
+
+
+def nx_max_cycle_packing(n, edges):
+    """Largest vertex-disjoint family of nx.simple_cycles."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+
+    def most(cycles, used):
+        return max(
+            (1 + most(cycles[i + 1 :], used | c) for i, c in enumerate(cycles) if not used & c),
+            default=0,
+        )
+
+    return most([frozenset(c) for c in nx.simple_cycles(g)], frozenset())
+
+
+class TestCycleOraclesMatchNetworkx:
+    def test_random_graphs(self, monkeypatch):
+        rng = random.Random(2009)
+        cases = []
+        for _ in range(200):
+            n = rng.randint(0, 8)
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pairs, rng.randint(0, min(12, len(pairs))))
+            want = [nx_max_cycle_packing(n, edges)]
+            want += [nx_min_short_cycle_transversal(n, edges, s) for s in (3, 4, 5)]
+            cases.append((Graph.from_edges(n, edges), want))
+        specs = [get_problem("cyclepacking")] + [get_problem("sct", s=s) for s in (3, 4, 5)]
+        # the oracles search adjacency masks and build no Graph
+        built = []
+        validate = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda g: (built.append(g), validate(g))[1])
+        for g, want in cases:
+            assert [brute_opt(spec, g) for spec in specs] == want, g
+        assert built == []
+        assert {want[0] for _, want in cases} >= {0, 1, 2}
+        assert max(want[2] for _, want in cases) >= 3
 
 
 class TestDecide:
@@ -385,6 +435,13 @@ class TestShortCycleSignature:
         assert all(v == 0 for v in s.table.values())
 
 
+def reference_on_short_cycle(g, u, v, s):
+    """Whether the edge uv lies on a cycle of length <= s: a BFS distance
+    dict in a validated copy of g without uv."""
+    cut = Graph(g.n, g.edges - {(min(u, v), max(u, v))})
+    return distances_from(cut, [u])[v] + 1 <= s
+
+
 def reference_sct_signature(b, s, t=None):
     """Table from a validated Graph per edge subset and BFS distance dicts,
     scanning every pending demand vector."""
@@ -407,7 +464,7 @@ def reference_sct_signature(b, s, t=None):
             break
         for cut in itertools.combinations(edges, size):
             rest = Graph(g.n, g.edges - set(cut))
-            if _shortest_cycle_edges(rest, s) is not None:
+            if any(reference_on_short_cycle(rest, u, v, s) for u, v in rest.edges):
                 continue
             dists = [
                 distances_from(rest, [bverts[i]])[bverts[j]] for i, j in pairs
@@ -443,14 +500,7 @@ def reference_sct_preprocess(g, s):
     while True:
         drop = []
         for v in range(cur.n):
-            on_short = False
-            for u in cur.adj[v]:
-                e = (v, u) if v < u else (u, v)
-                cut = Graph(cur.n, cur.edges - {e})
-                if distances_from(cut, [v])[u] + 1 <= s:
-                    on_short = True
-                    break
-            if not on_short:
+            if not any(reference_on_short_cycle(cur, v, u, s) for u in cur.adj[v]):
                 drop.append(v)
         if not drop:
             return cur, sorted(removed)

@@ -64,7 +64,7 @@ class TestComputeXR:
 
     def test_oversized_component_warns(self):
         g = generate(parse_family("path:50"))
-        res = compute_xr(g, {40}, vertex_cap=32)
+        res = compute_xr(g, {40})
         assert any("too large" in w for w in res.warnings)
         assert 40 in res.X
 
@@ -100,8 +100,8 @@ class TestComputeXRMinSize:
         # R = {40} leaves components of 40 and 9 vertices; with the first over
         # the cap, X_R can have at most 10 vertices
         g = generate(parse_family("path:50"))
-        assert len(compute_xr(g, {40}, vertex_cap=32, min_size=10).X) == 10
-        res = compute_xr(g, {40}, vertex_cap=32, min_size=11)
+        assert len(compute_xr(g, {40}, min_size=10).X) == 10
+        res = compute_xr(g, {40}, min_size=11)
         assert res.X == frozenset({40}) and len(res.warnings) == 1
 
 
