@@ -54,13 +54,11 @@ class BoundariedGraph:
         means equality of boundary adjacency label-for-label.
         """
         order = [v for _, v in sorted(zip(self.labels, self.boundary))]
-        pos = {v: i for i, v in enumerate(order)}
-        edges = [
-            (pos[u], pos[v])
-            for u, v in self.graph.edges
-            if u in pos and v in pos
-        ]
-        return Graph.from_edges(len(order), edges)
+        masks = self.graph.adj_masks
+        edges = frozenset(
+            (i, j) for j, v in enumerate(order) for i in range(j) if masks[v] >> order[i] & 1
+        )
+        return Graph._derived(len(order), edges)
 
 
 @dataclass(frozen=True)
@@ -88,41 +86,64 @@ def glue(g1: BoundariedGraph, g2: BoundariedGraph) -> GlueResult:
     for u, v in g2.graph.edges:
         a, b = heir2[u], heir2[v]
         edges.add((a, b) if a < b else (b, a))
-    return GlueResult(Graph(nxt, frozenset(edges)), heir1, heir2)
+    return GlueResult(Graph._derived(nxt, frozenset(edges)), heir1, heir2)
 
 
 @dataclass(frozen=True)
 class SplitResult:
-    g_x: BoundariedGraph
-    g_r: BoundariedGraph
+    g_x: BoundariedGraph  # G[X], bd[i] carrying label i + 1
     to_x: dict[int, int]  # host vertex -> vertex of g_x
-    to_r: dict[int, int]
+    bd: tuple[int, ...]  # the host boundary bd(X), ascending
 
 
 def boundary_of(g: Graph, S) -> frozenset[int]:
     """Vertices of S with at least one neighbor outside S."""
-    S = set(S)
+    S, inside = set(S), 0
     for v in S:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    return frozenset(v for v in S if g.adj[v] - S)
+        inside |= 1 << v
+    masks = g.adj_masks
+    return frozenset(v for v in S if masks[v] & ~inside)
 
 
 def split(g: Graph, X) -> SplitResult:
-    """Cut g at the boundary of X into two boundaried graphs that glue back to g.
-
-    Both sides carry boundary labels 1..|bd(X)| assigned in ascending host
-    vertex id order.
-    """
-    X = set(X)
-    bd = sorted(boundary_of(g, X))
+    """The window side of g cut at the boundary of X: G[X] with boundary
+    labels 1..|bd(X)| assigned in ascending host vertex id order.  `splice`
+    glues a replacement onto the rest of g."""
+    bd = tuple(sorted(boundary_of(g, X)))
+    gx, to_x = induced_subgraph(g, X)
     labels = tuple(range(1, len(bd) + 1))
-    gx, map_x = induced_subgraph(g, X)
-    rest = (set(range(g.n)) - X) | set(bd)
-    gr, map_r = induced_subgraph(g, rest)
-    bg_x = BoundariedGraph(gx, tuple(map_x[v] for v in bd), labels)
-    bg_r = BoundariedGraph(gr, tuple(map_r[v] for v in bd), labels)
-    return SplitResult(bg_x, bg_r, map_x, map_r)
+    return SplitResult(BoundariedGraph(gx, tuple(to_x[v] for v in bd), labels), to_x, bd)
+
+
+def splice(g: Graph, sr: SplitResult, j: BoundariedGraph) -> Graph:
+    """glue(j, rest).graph in one pass over g, with its adjacency masks, where
+    rest is g induced on V - X plus bd(X), labelled as sr's window.
+
+    j's vertices come first; the host boundary vertex with label l becomes
+    j's vertex with label l, and the other vertices outside X follow in
+    ascending host order.  j must carry labels 1..|bd(X)|.
+    """
+    new = [-1] * g.n  # -1 on the interior of X
+    for label, v in enumerate(sr.bd, 1):
+        new[v] = j.vertex_of_label(label)
+    n = j.graph.n
+    for v in range(g.n):
+        if v not in sr.to_x:
+            new[v] = n
+            n += 1
+    edges = set(j.graph.edges)
+    masks = list(j.graph.adj_masks) + [0] * (n - j.graph.n)
+    for u, v in g.edges:
+        a, b = new[u], new[v]
+        if a >= 0 and b >= 0:
+            if a > b:
+                a, b = b, a
+            edges.add((a, b))
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    return Graph._derived(n, frozenset(edges), tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +197,7 @@ def _candidates(label_count: int, pinned: frozenset | None, max_vertices: int | 
             for i, p in enumerate(free):
                 if bits >> i & 1:
                     edges.append(p)
-            bg = BoundariedGraph(Graph.from_edges(n, edges), boundary, labels)
+            bg = BoundariedGraph(Graph._derived(n, frozenset(edges)), boundary, labels)
             code = canonical_code(bg, cap=n)
             if code in seen:
                 yield None
@@ -260,4 +281,4 @@ def from_mask(n: int, mask: int, label_count: int) -> BoundariedGraph:
     labeled 1..label_count."""
     edges = [(u, v) for v in range(n) for u in range(v) if mask >> v * (v - 1) // 2 + u & 1]
     labels = tuple(range(1, label_count + 1))
-    return BoundariedGraph(Graph.from_edges(n, edges), tuple(range(label_count)), labels)
+    return BoundariedGraph(Graph._derived(n, frozenset(edges)), tuple(range(label_count)), labels)

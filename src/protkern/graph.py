@@ -37,6 +37,17 @@ class Graph:
     def from_edges(n: int, edges) -> "Graph":
         return Graph(n, frozenset(_norm_edge(u, v) for u, v in edges))
 
+    @classmethod
+    def _derived(cls, n: int, edges: frozenset, masks: tuple | None = None) -> "Graph":
+        """A graph built from a valid one, whose edges are normalized and in
+        range by construction: no per-edge check.  `masks`, when given, seeds
+        adj_masks."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges)
+        if masks is not None:
+            g.__dict__["adj_masks"] = masks
+        return g
+
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
         nbrs: list[set[int]] = [set() for _ in range(self.n)]
@@ -325,21 +336,31 @@ def distances_from(g: Graph, sources) -> dict[int, float]:
 
 
 def induced_subgraph(g: Graph, X) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on X with dense relabeling; returns (graph, old->new map)."""
+    """Induced subgraph on X with dense relabeling and seeded adjacency
+    masks; returns (graph, old->new map)."""
     order = sorted(X)
     remap = {v: i for i, v in enumerate(order)}
-    edges = [
-        (i, remap[w]) for i, u in enumerate(order) for w in g.adj[u] if w > u and w in remap
-    ]
-    return Graph(len(order), frozenset(edges)), remap
+    host, inside = g.adj_masks, sum(1 << v for v in order)
+    edges, masks = [], [0] * len(order)
+    for i, u in enumerate(order):
+        later = host[u] & inside & -(2 << u)  # neighbors in X above u
+        while later:
+            low = later & -later
+            later ^= low
+            w = remap[low.bit_length() - 1]
+            edges.append((i, w))
+            masks[i] |= 1 << w
+            masks[w] |= 1 << i
+    return Graph._derived(len(order), frozenset(edges), tuple(masks)), remap
 
 
 def connected_components(g: Graph, without=()) -> list[list[int]]:
     """Vertex lists of the components of G - without, in least-vertex order.
 
     A single removed vertex is answered from the graph's cached lowpoint
-    search (see Graph._lowpoint); any other set is masked in a search, which
-    never builds G - without.
+    search (see Graph._lowpoint); any other set is masked in a search on the
+    cached adjacency sets, which never builds G - without.  Sets beat masks
+    here: an exhaustive scan searches one sparse graph for every cut set.
     """
     if len(without) == 1:
         for v in without:

@@ -6,7 +6,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .boundaried import BoundariedGraph, ClassCursor, SplitResult, canonical_code, edge_mask, from_mask, glue
+from .boundaried import BoundariedGraph, ClassCursor, SplitResult, canonical_code, edge_mask, from_mask, splice
 from .errors import OracleCapExceeded
 from .graph import Graph
 from .problems import ProblemInstance, ProblemSpec, compute_signature
@@ -236,14 +236,15 @@ def find_replacement(
 def apply_replacement(
     inst: ProblemInstance, sr: SplitResult, j: BoundariedGraph, c: int
 ) -> ProblemInstance:
-    """Glue j onto the remainder of sr, a split of inst.graph, and shift k by c."""
+    """Splice j into inst.graph in place of sr's window (see splice), and
+    shift k by c."""
     if c > 0:
         raise ValueError("transposition constant must be nonpositive")
     if j.label_set != sr.g_x.label_set:
         raise ValueError("replacement label set does not match the cut boundary")
     if j.graph.n >= sr.g_x.graph.n:
         raise ValueError("replacement is not strictly smaller")
-    out = ProblemInstance(glue(j, sr.g_r).graph, inst.k + c, inst.spec)
+    out = ProblemInstance(splice(inst.graph, sr, j), inst.k + c, inst.spec)
     if out.graph.n >= inst.graph.n:
         raise AssertionError("replacement did not shrink the graph")
     return out

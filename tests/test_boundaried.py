@@ -11,10 +11,11 @@ from protkern.boundaried import (
     canonical_code,
     enumerate_boundaried,
     glue,
+    splice,
     split,
 )
 from protkern.errors import CanonizationCapExceeded
-from protkern.graph import Graph
+from protkern.graph import Graph, connected_components, induced_subgraph
 
 
 def host_and_subset(draw):
@@ -82,21 +83,18 @@ class TestSplit:
     @settings(max_examples=60, deadline=None)
     @given(hosts)
     def test_glue_inverts_split(self, gx):
+        # splicing the window back in glues it onto the rest of the host
         g, x = gx
         res = split(g, x)
-        glued = glue(res.g_x, res.g_r)
-        # g_x keeps its ids; compose the recorded maps to rebuild the host edges
-        fwd = {}
-        for v in range(g.n):
-            if v in res.to_x:
-                fwd[v] = glued.heir1[res.to_x[v]]
-            else:
-                fwd[v] = glued.heir2[res.to_r[v]]
-        assert glued.graph.n == g.n
+        out = splice(g, res, res.g_x)
+        # window vertices keep their g_x ids; the rest follow in host order
+        rest = [v for v in range(g.n) if v not in x]
+        fwd = {**res.to_x, **{v: res.g_x.graph.n + i for i, v in enumerate(rest)}}
+        assert out.n == g.n
         rebuilt = frozenset(
             (min(fwd[u], fwd[v]), max(fwd[u], fwd[v])) for u, v in g.edges
         )
-        assert rebuilt == glued.graph.edges
+        assert rebuilt == out.edges
 
     def test_labels_follow_ascending_host_ids(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -111,6 +109,68 @@ class TestSplit:
         assert boundary_of(g, {0, 1}) == frozenset({1})
         assert boundary_of(g, {1, 2}) == frozenset({1, 2})
         assert boundary_of(g, {0, 1, 2, 3}) == frozenset()
+
+
+def remainder(g, res):
+    """The rest of g outside split result res's window, labelled like it."""
+    rest = set(range(g.n)) - set(res.to_x) | set(res.bd)
+    gr, to_r = induced_subgraph(g, rest)
+    return BoundariedGraph(gr, tuple(to_r[v] for v in res.bd), res.g_x.labels)
+
+
+@st.composite
+def splice_cases(draw):
+    g, x = draw(hosts)
+    res = split(g, x)
+    labels = len(res.bd)
+    n = draw(st.integers(min_value=labels, max_value=labels + 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    boundary = draw(st.permutations(range(n)))[:labels]
+    j = BoundariedGraph(Graph.from_edges(n, edges), tuple(boundary), res.g_x.labels)
+    return g, res, j
+
+
+class TestSplice:
+    """splice(g, split(g, X), j) is glue(j, rest of g) with its masks seeded."""
+
+    def check(self, g, res, j):
+        out = splice(g, res, j)
+        want = glue(j, remainder(g, res)).graph
+        assert (out.n, out.edges) == (want.n, want.edges)
+        assert out == Graph(want.n, want.edges) and hash(out) == hash(want)
+        assert "adj_masks" in out.__dict__
+        assert out.adj_masks == Graph.from_edges(out.n, out.edges).adj_masks
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(splice_cases())
+    def test_equals_glue_onto_the_remainder(self, case):
+        self.check(*case)
+
+    def test_boundary_edges_on_both_sides(self):
+        # the boundary pair 1-3 is adjacent in the host and in j
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (4, 5)])
+        res = split(g, {1, 2, 3})
+        assert res.bd == (1, 3) and res.g_x.boundary_subgraph().m == 1
+        j = BoundariedGraph(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), (2, 0), (1, 2))
+        out = self.check(g, res, j)
+        assert out.n == 6 and (0, 2) in out.edges
+
+    def test_disconnected_remainder(self):
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
+        res = split(g, {1, 2, 3})
+        assert len(connected_components(remainder(g, res).graph)) == 3
+        j = BoundariedGraph(Graph.from_edges(3, [(0, 2), (1, 2)]), (0, 1), (1, 2))
+        out = self.check(g, res, j)
+        assert [sorted(c) for c in connected_components(out)] == [[0, 1, 2, 3, 4], [5, 6]]
+
+    def test_empty_interior_in_j(self):
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        res = split(g, {1, 2, 3, 4})
+        j = BoundariedGraph(Graph.from_edges(2, [(0, 1)]), (1, 0), (1, 2))
+        out = self.check(g, res, j)
+        assert out.n == 4 and out.edges == frozenset({(0, 1), (1, 2), (0, 3)})
 
 
 def reference_canonical_code(b):

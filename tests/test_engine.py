@@ -1,9 +1,11 @@
 import hashlib
 import random
+import sys
+from functools import cached_property
 
 import pytest
 
-from protkern import engine, protrusion, replace
+from protkern import boundaried, engine, protrusion, replace
 from protkern.boundaried import canonical_code
 from protkern.engine import (
     EngineConfig,
@@ -392,6 +394,40 @@ class TestPinnedKernels:
         g = generate(parse_family(family))
         inst = ProblemInstance(g, brute_opt(spec, g), spec)
         assert kernel_digest(*meta_kernelize(inst, cfg(size_threshold=11))) == digest
+
+
+class TestSpliceLoop:
+    """Every graph of the loop is derived from the input: no remainder is
+    built, nothing is glued, validated again or given Graph.adj."""
+
+    def test_shuffled_path(self, monkeypatch):
+        fresh_table(monkeypatch)
+        g = shuffled_family("path:200", 5)
+        validated, adj_built, cut = [], [], []
+        post_init, adj, induced = Graph.__post_init__, Graph.adj.func, boundaried.induced_subgraph
+
+        def counted_adj(h):
+            adj_built.append(h)
+            return adj(h)
+
+        def refuse(*args):
+            raise AssertionError("glue called in the engine loop")
+
+        prop = cached_property(counted_adj)
+        prop.__set_name__(Graph, "adj")
+        monkeypatch.setattr(Graph, "adj", prop)
+        monkeypatch.setattr(Graph, "__post_init__", lambda h: (validated.append(h), post_init(h))[1])
+        monkeypatch.setattr(boundaried, "induced_subgraph", lambda h, X: (cut.append(len(X)), induced(h, X))[1])
+        for name, module in list(sys.modules.items()):
+            if name.startswith("protkern") and hasattr(module, "glue"):
+                monkeypatch.setattr(module, "glue", refuse)
+        inst = ProblemInstance(Graph(g.n, g.edges), 100, VC)
+        out, log = meta_kernelize(inst, cfg())
+        assert len(log.steps) > 50 and out.graph.n < 30
+        assert validated == [inst.graph]
+        assert adj_built == [] and "adj" not in out.graph.__dict__
+        # split cuts out the window only, never the rest of the graph
+        assert len(cut) == len(log.steps) and max(cut) <= 2 * cfg().split_c
 
 
 class TestVerifyKernel:

@@ -95,6 +95,12 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_public_constructor_validates_every_edge(self):
+        # only graphs derived from a valid graph skip these checks
+        for n, edges in ((2, {(1, 1)}), (2, {(0, 2)}), (3, {(2, 1)}), (-1, set())):
+            with pytest.raises(ValueError):
+                Graph(n, frozenset(edges))
+
     def test_adjacency_is_symmetric(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
         for u, v in g.edges:
