@@ -9,7 +9,7 @@ from .boundaried import CANONIZATION_CAP, split
 from .errors import CanonizationCapExceeded, OracleCapExceeded
 from .graph import Graph, articulation_points, distances_from
 from .problems import MAX, ProblemInstance, ProblemSpec, decide, sct_preprocess
-from .protrusion import compute_xr, split_protrusion, xr_protrusion
+from .protrusion import compute_xr, xr_window
 from .replace import BUDGET, FOUND, RepCache, apply_replacement, find_replacement
 
 EXHAUSTIVE_SCAN_LIMIT = 64  # above this, candidate cut sets are heuristic
@@ -133,10 +133,8 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
                 warn(w)
             if len(xr.X) < cfg.size_threshold:
                 continue
-            p = xr_protrusion(inst.graph, Rset, xr)
-            try:
-                y = split_protrusion(p, cfg.split_c)
-            except ValueError:
+            y = xr_window(inst.graph, Rset, xr, cfg.split_c)
+            if y is None:
                 continue
             sr = split(inst.graph, y)
             b = sr.g_x

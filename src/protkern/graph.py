@@ -335,23 +335,32 @@ def distances_from(g: Graph, sources) -> dict[int, float]:
     return dist
 
 
-def induced_subgraph(g: Graph, X) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on X with dense relabeling and seeded adjacency
-    masks; returns (graph, old->new map)."""
-    order = sorted(X)
-    remap = {v: i for i, v in enumerate(order)}
-    host, inside = g.adj_masks, sum(1 << v for v in order)
-    edges, masks = [], [0] * len(order)
-    for i, u in enumerate(order):
-        later = host[u] & inside & -(2 << u)  # neighbors in X above u
+def induced_masks(host: tuple, remap: dict[int, int]) -> list[int]:
+    """Adjacency masks of the subgraph induced on remap's keys, given the host
+    graph's masks; v becomes remap[v], and remap is onto 0..len(remap)-1."""
+    inside, masks = sum(1 << v for v in remap), [0] * len(remap)
+    for u, i in remap.items():
+        later = host[u] & inside & -(2 << u)  # neighbors above u: each edge once
         while later:
             low = later & -later
             later ^= low
             w = remap[low.bit_length() - 1]
-            edges.append((i, w))
             masks[i] |= 1 << w
             masks[w] |= 1 << i
-    return Graph._derived(len(order), frozenset(edges), tuple(masks)), remap
+    return masks
+
+
+def induced_subgraph(g: Graph, X) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on X, relabeled in ascending order, with seeded
+    adjacency masks; returns (graph, old->new map)."""
+    remap = {v: i for i, v in enumerate(sorted(X))}
+    masks, edges = induced_masks(g.adj_masks, remap), []
+    for i, m in enumerate(masks):
+        m &= -(2 << i)  # neighbors above i
+        while m:
+            edges.append((i, (m & -m).bit_length() - 1))
+            m &= m - 1
+    return Graph._derived(len(masks), frozenset(edges), tuple(masks)), remap
 
 
 def connected_components(g: Graph, without=()) -> list[list[int]]:

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph, connected_components, induced_masks, induced_subgraph
 from .treewidth import (
     EXACT_TW_VERTEX_CAP,
     FORGET,
     NiceTreeDecomposition,
     TreeDecomposition,
     _bits,
-    _NiceBuilder,
+    _nice_form,
     decide_tw_leq,
+    decide_tw_masks,
     make_nice,
 )
 from .boundaried import boundary_of
@@ -49,9 +50,8 @@ def is_protrusion(g: Graph, X, t: int, vertex_cap: int = EXACT_TW_VERTEX_CAP):
 class XRResult:
     X: frozenset[int]
     warnings: list[str]
-    # accepted components of G-R in least-vertex order, each with a witness
-    # of width <= |R| on induced_subgraph(g, component)
-    components: list[tuple[list[int], TreeDecomposition]]
+    # accepted components of G-R in least-vertex order, ascending, with decide_tw_masks certificates
+    components: list[tuple[list[int], tuple[list, list[int]]]]
 
 
 def compute_xr(g: Graph, R, min_size: int = 0) -> XRResult:
@@ -76,38 +76,67 @@ def compute_xr(g: Graph, R, min_size: int = 0) -> XRResult:
             small.append(comp)
     if len(R) + sum(map(len, small)) < min_size:
         return XRResult(R, warnings, [])
-    out, components = set(R), []
+    out, components, host = set(R), [], g.adj_masks
     for comp in small:
-        sub, _ = induced_subgraph(g, comp)
-        td = decide_tw_leq(sub, len(R))
-        if td is not None:
-            out.update(comp)
-            components.append((comp, td))
+        order = sorted(comp)
+        cert = decide_tw_masks(induced_masks(host, {v: i for i, v in enumerate(order)}), len(R))
+        if cert is not None:
+            out.update(order)
+            components.append((order, cert))
     return XRResult(frozenset(out), warnings, components)
 
 
-def xr_protrusion(g: Graph, R, xr: XRResult) -> Protrusion:
-    """X_R as a protrusion: its component witnesses with R in every bag.
-
-    The root bag is R; each component's decomposition hangs below it, so the
-    witness has width at most 2|R|.
-    """
-    sub, rank = induced_subgraph(g, xr.X)
-    r_local = frozenset(rank[v] for v in R)
-    bags: list[frozenset[int]] = [r_local]
-    parent: list = [None]
-    for comp, td in xr.components:
-        back = sorted(comp)
-        offset = len(bags)
-        for bag, p in zip(td.bags, td.parent):
-            bags.append(frozenset(rank[back[v]] for v in bag) | r_local)
-            parent.append(0 if p is None else offset + p)
-    witness = TreeDecomposition(sub, tuple(parent), tuple(bags))
-    return Protrusion(xr.X, boundary_of(g, xr.X), 2 * len(R), witness)
+def xr_window(g: Graph, R, xr: XRResult, c: int) -> frozenset[int] | None:
+    """split_protrusion's window of X_R as a protrusion, or None where that
+    raises for want of a window in (c, 2c]; built, validated and cut on masks.
+    The witness's root bag is R, and each component's certificate hangs below
+    it with R added to every bag, so its width is at most 2|R|."""
+    back = sorted(xr.X)
+    rank = {v: i for i, v in enumerate(back)}
+    host = g.adj_masks
+    adj = induced_masks(host, rank)
+    r = sum(1 << rank[v] for v in R)
+    parent, bags = [None], [r]
+    for comp, (cparent, cbags) in xr.components:
+        lift, offset = [1 << rank[v] for v in comp], len(bags)
+        parent += [0 if p is None else offset + p for p in cparent]
+        for bag in cbags:
+            lifted = r
+            while bag:
+                low = bag & -bag
+                bag ^= low
+                lifted |= lift[low.bit_length() - 1]
+            bags.append(lifted)
+    # a vertex of X has a neighbor outside X iff it has fewer in G[X]
+    bd = sum(1 << i for i, v in enumerate(back) if host[v].bit_count() > adj[i].bit_count())
+    y = _window(adj, parent, bags, bd, c)
+    return None if y is None else frozenset(back[v] for v in _bits(y))
 
 
 # ---------------------------------------------------------------------------
 # splitting an oversized protrusion (small-window extraction)
+
+
+def _window(adj, parent, bags: list[int], bd: int, c: int) -> int | None:
+    """split_protrusion on masks, bd being the boundary: the window's mask,
+    or None when no window in (c, 2c] exists."""
+    n = len(adj)
+    if n <= 2 * c:
+        return (1 << n) - 1 if n > c else None
+    parent, bags = _nice_form(adj, parent, bags)
+    # covers and depths: ids exceed descendants', and the root, last, covers n > 2c
+    cover = [bag | bd for bag in bags]
+    for u in range(len(parent) - 1):
+        cover[parent[u]] |= cover[u]
+    depth, b = [0] * len(parent), len(parent) - 1
+    for u in range(len(parent) - 2, -1, -1):  # top down, so ties go to the smaller id
+        depth[u] = depth[parent[u]] + 1
+        if depth[u] >= depth[b] and cover[u].bit_count() > c:
+            b = u
+    if any(parent[w] == b and cover[w].bit_count() > c for w in range(b)):
+        raise AssertionError("chosen node is not deepest")
+    # over 2c only when a single bag plus the boundary overshoots it
+    return cover[b] if cover[b].bit_count() <= 2 * c else None
 
 
 def split_protrusion(p: Protrusion, c: int) -> frozenset[int]:
@@ -122,32 +151,12 @@ def split_protrusion(p: Protrusion, c: int) -> frozenset[int]:
         raise ValueError("split target c must be positive")
     if len(p.X) <= c:
         raise ValueError("protrusion is not larger than c")
-    if len(p.X) <= 2 * c:
-        return p.X
-
-    nice = _NiceBuilder(p.witness)
-    back = sorted(p.X)
-    bd_local = sum(1 << i for i, v in enumerate(back) if v in p.boundary)
-    parent = nice.parent
-    # subtree vertex masks and depths: every node's id exceeds its descendants'
-    cover = [bag | bd_local for bag in nice.bags]
-    for u, pu in enumerate(parent):
-        if pu is not None:
-            cover[pu] |= cover[u]
-    depth = [0] * len(parent)
-    for u in reversed(range(len(parent))):
-        if parent[u] is not None:
-            depth[u] = depth[parent[u]] + 1
-    candidates = [u for u in range(len(cover)) if cover[u].bit_count() > c]
-    b = max(candidates, key=lambda u: (depth[u], -u))
-    if any(parent[w] == b and cover[w].bit_count() > c for w in range(b)):
-        raise AssertionError("chosen node is not deepest")
-    if not (c < cover[b].bit_count() <= 2 * c):
-        # can only happen when a single bag plus the boundary overshoots 2c
-        raise ValueError(
-            f"cannot extract a window in ({c}, {2 * c}] from this protrusion"
-        )
-    return frozenset(back[v] for v in _bits(cover[b]))
+    back, w = sorted(p.X), p.witness
+    bd = sum(1 << i for i, v in enumerate(back) if v in p.boundary)
+    y = _window(w.graph.adj_masks, w.parent, [sum(1 << v for v in bag) for bag in w.bags], bd, c)
+    if y is None:
+        raise ValueError(f"cannot extract a window in ({c}, {2 * c}] from this protrusion")
+    return frozenset(back[v] for v in _bits(y))
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +280,9 @@ def partition_protrusion(
 
 def _mark_nodes(nice: NiceTreeDecomposition, z_local: set[int]) -> set[int]:
     """Topmost forget nodes of Z vertices plus the root, closed under LCAs."""
-    ch = nice.children()
-    root = nice.root
-    marked = {root}
-    for u in range(nice.num_nodes):
-        if nice.kinds[u] != FORGET:
-            continue
-        (kid,) = ch[u]
-        dropped = nice.bags[kid] - nice.bags[u]
-        if dropped & z_local:
+    marked = {nice.root}
+    for kid, u in enumerate(nice.parent):  # a forget node has one child
+        if u is not None and nice.kinds[u] == FORGET and (nice.bags[kid] - nice.bags[u]) & z_local:
             marked.add(kid)
     # ancestors for LCA computation
     parent = nice.parent

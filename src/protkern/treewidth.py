@@ -24,22 +24,11 @@ class TreeDecomposition:
     bags: tuple
 
     @property
-    def num_nodes(self) -> int:
-        return len(self.bags)
-
-    @property
     def root(self) -> int:
         for i, p in enumerate(self.parent):
             if p is None:
                 return i
         raise ValueError("decomposition has no root")
-
-    def children(self) -> list[list[int]]:
-        ch: list[list[int]] = [[] for _ in self.bags]
-        for i, p in enumerate(self.parent):
-            if p is not None:
-                ch[p].append(i)
-        return ch
 
 
 @dataclass(frozen=True)
@@ -49,58 +38,62 @@ class NiceTreeDecomposition(TreeDecomposition):
     kinds: tuple = ()
 
 
-def width(td: TreeDecomposition) -> int:
-    if not td.bags:
-        return -1
-    return max(len(b) for b in td.bags) - 1
+def validate_masks(adj, parent, bags: list[int]) -> tuple[list[str], list | None]:
+    """validate's checks on adjacency masks, parent links and bag masks: the
+    messages, and the ascending child lists once the links form a tree."""
+    n_nodes = len(bags)
+    if len(parent) != n_nodes:
+        return ["parent/bag arrays differ in length"], None
+    roots = [i for i, p in enumerate(parent) if p is None]
+    out = [f"expected exactly one root, found {len(roots)}"] if len(roots) != 1 else []
+    out += [f"node {i} has out-of-range parent {p}" for i, p in enumerate(parent)
+            if p is not None and not 0 <= p < n_nodes]
+    if out:
+        return out, None
+    ch: list[list[int]] = [[] for _ in bags]
+    for i, p in enumerate(parent):
+        if p is not None:
+            ch[p].append(i)
+    # a search from the root meets each node at most once; the rest lie on cycles
+    reached = roots
+    for u in reached:
+        reached.extend(ch[u])
+    if len(reached) < n_nodes:
+        return [f"cycle in parent links through node {min(set(range(n_nodes)) - set(reached))}"], None
+    # in a tree, the nodes holding v are connected iff exactly one of them is
+    # the root or has a parent without v
+    n = len(adj)
+    full, tops, twice = (1 << n) - 1, 0, 0
+    near = [0] * n  # union of the bags holding each vertex
+    for bag, p in zip(bags, parent):
+        if bag >> n:
+            out += [f"bag vertex {v} outside the host graph" for v in _bits(bag & ~full)]
+            bag &= full
+        top = bag & ~bags[p] if p is not None else bag
+        twice |= tops & top
+        tops |= top
+        rest = bag
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near[low.bit_length() - 1] |= bag
+    for v in _bits(full & ~tops | twice):
+        seen = tops >> v & 1
+        out.append(f"occurrences of vertex {v} are disconnected" if seen else f"vertex {v} appears in no bag")
+    for u, (a, b) in enumerate(zip(adj, near)):
+        if a & ~b:
+            out += [f"edge ({u},{v}) not contained in any bag" for v in _bits(a & ~b & -(2 << u))]
+    return out, ch
 
 
 def validate(td: TreeDecomposition) -> list[str]:
     """Empty list iff td is a valid (and, for nice form, well-kinded) decomposition."""
-    g, parent, bags = td.graph, td.parent, td.bags
-    n_nodes = len(bags)
-    if len(parent) != n_nodes:
-        return ["parent/bag arrays differ in length"]
-    out = []
-    roots = [i for i, p in enumerate(parent) if p is None]
-    if len(roots) != 1:
-        out.append(f"expected exactly one root, found {len(roots)}")
-    for i, p in enumerate(parent):
-        if p is not None and not (0 <= p < n_nodes):
-            out.append(f"node {i} has out-of-range parent {p}")
-    if out:
-        return out
-    # every node not reached from the root lies on a cycle of parent links
-    ch = td.children()
-    reached = [False] * n_nodes
-    stack = roots
-    while stack:
-        u = stack.pop()
-        reached[u] = True
-        stack.extend(ch[u])
-    if not all(reached):
-        return [f"cycle in parent links through node {reached.index(False)}"]
-    # in a tree, the nodes holding v are connected iff exactly one of them is
-    # the root or has a parent without v
-    tops = [0] * g.n
-    holds = [0] * g.n  # mask of the nodes whose bag holds the vertex
-    for i, bag in enumerate(bags):
-        up = bags[parent[i]] if parent[i] is not None else ()
-        for v in bag:
-            if not (0 <= v < g.n):
-                out.append(f"bag vertex {v} outside the host graph")
-                continue
-            holds[v] |= 1 << i
-            tops[v] += v not in up
-    for v, count in enumerate(tops):
-        if count == 0:
-            out.append(f"vertex {v} appears in no bag")
-        elif count > 1:
-            out.append(f"occurrences of vertex {v} are disconnected")
-    for u, v in sorted(e for e in g.edges if not holds[e[0]] & holds[e[1]]):
-        out.append(f"edge ({u},{v}) not contained in any bag")
-    if isinstance(td, NiceTreeDecomposition):
-        out.extend(_validate_nice(td, ch))
+    masks = [sum(1 << v for v in bag if v >= 0) for bag in td.bags]  # masks hold no negative vertex
+    out, ch = validate_masks(td.graph.adj_masks, td.parent, masks)
+    if ch is not None:  # the tree checks passed, so report those vertices first
+        out[:0] = [f"bag vertex {v} outside the host graph" for bag in td.bags for v in bag if v < 0]
+        if isinstance(td, NiceTreeDecomposition):
+            out += _validate_nice(td, ch)
     return out
 
 
@@ -140,7 +133,7 @@ def _validate_nice(td: NiceTreeDecomposition, ch: list[list[int]]) -> list[str]:
 # exact treewidth decision
 #
 # Vertex sets are bitmasks, and masks[v] is v's neighbourhood in the fill
-# graph.  Eliminations record (vertex, bag mask) pairs for _assemble.
+# graph.  Eliminations record (vertex, bag mask) pairs.
 
 
 def _bits(mask: int):
@@ -232,6 +225,41 @@ def _branch_and_bound(masks, alive: int, t: int, failed: set[int], order, bags):
     return None
 
 
+def decide_tw_masks(adj, t: int, vertex_cap: int = EXACT_TW_VERTEX_CAP):
+    """decide_tw_leq on adjacency masks: (parent links, bag masks), or None.
+    Node i holds the bag of the i-th eliminated vertex, below the node of its
+    bag's next eliminated vertex; the last node, the root, holds the rest."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    n = len(adj)
+    if n > vertex_cap:
+        raise TooLargeForExactTreewidth(
+            f"{n} vertices exceed the exact-treewidth cap of {vertex_cap}"
+        )
+    order, bags = [], []
+    rest = _eliminate_low_degree(list(adj), min(t, 2), order, bags)
+    if rest is None and t > 2 and _degeneracy(adj) <= t:
+        order, bags = [], []
+        rest = _branch_and_bound(adj, (1 << n) - 1, t, set(), order, bags)
+    if rest is None:
+        return None
+    root, parent = len(order), []
+    index = [root] * n
+    for i, v in enumerate(order):
+        index[v] = i
+    for v, bag in zip(order, bags):
+        up, later = root, bag ^ 1 << v
+        while later:
+            low = later & -later
+            later ^= low
+            if index[low.bit_length() - 1] < up:
+                up = index[low.bit_length() - 1]
+        parent.append(up)
+    parent.append(None)
+    bags.append(rest)
+    return parent, bags
+
+
 def decide_tw_leq(g: Graph, t: int, vertex_cap: int = EXACT_TW_VERTEX_CAP):
     """Width-<=t decomposition of g, or None if tw(g) > t.
 
@@ -239,97 +267,70 @@ def decide_tw_leq(g: Graph, t: int, vertex_cap: int = EXACT_TW_VERTEX_CAP):
     certificate also serves every t > 2.  Only when that fails for t > 2 does
     a branch and bound search the elimination orders.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if g.n > vertex_cap:
-        raise TooLargeForExactTreewidth(
-            f"{g.n} vertices exceed the exact-treewidth cap of {vertex_cap}"
-        )
-    order, bags = [], []
-    rest = _eliminate_low_degree(list(g.adj_masks), min(t, 2), order, bags)
-    if rest is None and t > 2 and _degeneracy(g.adj_masks) <= t:
-        order, bags = [], []
-        rest = _branch_and_bound(g.adj_masks, (1 << g.n) - 1, t, set(), order, bags)
-    if rest is None:
+    cert = decide_tw_masks(g.adj_masks, t, vertex_cap)
+    if cert is None:
         return None
-    return _assemble(g, order, bags, rest)
-
-
-def _assemble(g: Graph, order: list[int], bags: list[int], rest: int) -> TreeDecomposition:
-    """Node i holds the bag of order[i] and hangs below the node of the bag's
-    first vertex eliminated after order[i]; the vertices `rest` left at the
-    end form the root bag, node len(order)."""
-    root = len(order)
-    index = [root] * g.n
-    for i, v in enumerate(order):
-        index[v] = i
-    parent = [
-        min((index[w] for w in _bits(bag & ~(1 << v))), default=root)
-        for v, bag in zip(order, bags)
-    ]
     # tuples built from lists of known length: tuple(generator) resizes its
     # result, which grows the interpreter's per-size tuple free lists
-    nodes = [frozenset(_bits(bag)) for bag in bags + [rest]]
-    return TreeDecomposition(g, (*parent, None), tuple(nodes))
+    nodes = [frozenset(_bits(bag)) for bag in cert[1]]
+    return TreeDecomposition(g, tuple(cert[0]), tuple(nodes))
 
 
 # ---------------------------------------------------------------------------
 # nice form
 
 
-class _NiceBuilder:
-    """make_nice's nodes, with each bag a vertex mask.
+def _nice_form(adj, parent, bags: list[int]) -> tuple[list, list[int]]:
+    """make_nice on masks: the nice form's parent links and bag masks, for a
+    decomposition that validate_masks accepts (else ValueError).
 
-    Validates td first.  A node is created after all of its descendants, so
-    node ids are a post-order and the root is the last node.
+    A node is created after all of its descendants, so node ids are a
+    post-order and the root is the last node.  Forget and introduce chains
+    each go in ascending vertex order.
     """
+    bad, ch = validate_masks(adj, parent, bags)
+    if bad:
+        raise ValueError("invalid tree decomposition: " + "; ".join(bad))
+    nice_parent, nice_bags = [], []
 
-    def __init__(self, td: TreeDecomposition):
-        bad = validate(td)
-        if bad:
-            raise ValueError("invalid tree decomposition: " + "; ".join(bad))
-        self.bags: list[int] = []
-        self.kinds: list[str] = []
-        self.parent: list = []
-        ch = td.children()  # each child list is ascending
-        masks = [sum(1 << v for v in bag) for bag in td.bags]
-
-        def build(node: int) -> int:
-            bag = masks[node]
-            if not ch[node]:  # a leaf of the lowest vertex, then introduce the rest
-                return self.transition(self.add(bag & -bag, LEAF), bag)
-            tops = [self.transition(build(k), bag) for k in ch[node]]
-            top = tops[0]
-            for other in tops[1:]:
-                top = self.add(bag, JOIN, top, other)
-            return top
-
-        build(td.root)
-
-    def add(self, bag: int, kind: str, *children: int) -> int:
-        node = len(self.bags)
-        self.bags.append(bag)
-        self.kinds.append(kind)
-        self.parent.append(None)
+    def add(bag: int, *children: int) -> int:
         for c in children:
-            self.parent[c] = node
-        return node
+            nice_parent[c] = len(nice_bags)
+        nice_parent.append(None)
+        nice_bags.append(bag)
+        return len(nice_bags) - 1
 
-    def transition(self, node: int, target: int) -> int:
-        """Forget/introduce chain from the bag at `node` up to `target`, each
-        in ascending vertex order."""
-        cur = self.bags[node]
-        for kind, change in ((FORGET, cur & ~target), (INTRODUCE, target & ~cur)):
+    def transition(node: int, target: int) -> int:
+        cur = nice_bags[node]
+        for change in (cur & ~target, target & ~cur):
             while change:
                 low = change & -change
                 change ^= low
                 cur ^= low
-                node = self.add(cur, kind, node)
+                nice_parent[node] = node = len(nice_bags)
+                nice_parent.append(None)
+                nice_bags.append(cur)
         return node
+
+    def build(node: int) -> int:
+        bag = bags[node]
+        # a leaf of the lowest vertex, then introduce the rest
+        tops = [transition(build(k), bag) for k in ch[node]] or [transition(add(bag & -bag), bag)]
+        for other in tops[1:]:
+            tops[0] = add(bag, tops[0], other)
+        return tops[0]
+
+    build(parent.index(None))
+    return nice_parent, nice_bags
 
 
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Width-preserving nice form of td, with the same root."""
-    b = _NiceBuilder(td)
-    bags = [frozenset(_bits(bag)) for bag in b.bags]
-    return NiceTreeDecomposition(td.graph, tuple(b.parent), tuple(bags), tuple(b.kinds))
+    parent, bags = _nice_form(td.graph.adj_masks, td.parent, [sum(1 << v for v in b) for b in td.bags])
+    # a node's kind follows from its children: none, two, or one with a smaller or larger bag
+    kinds = [LEAF] * len(bags)
+    for w, p in enumerate(parent):
+        if p is not None:
+            kinds[p] = JOIN if kinds[p] != LEAF else INTRODUCE if bags[p] & ~bags[w] else FORGET
+    nodes = [frozenset(_bits(bag)) for bag in bags]
+    return NiceTreeDecomposition(td.graph, tuple(parent), tuple(nodes), tuple(kinds))

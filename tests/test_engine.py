@@ -5,7 +5,7 @@ from functools import cached_property
 
 import pytest
 
-from protkern import boundaried, engine, protrusion, replace
+from protkern import boundaried, engine, protrusion, replace, treewidth
 from protkern.boundaried import canonical_code
 from protkern.engine import (
     EngineConfig,
@@ -40,23 +40,23 @@ def fresh_table(monkeypatch):
 
 def count_treewidth_calls(monkeypatch) -> dict:
     """Count the engine's compute_xr calls, those of them that decide some
-    treewidth, and the decide_tw_leq calls they make."""
-    calls = {"compute_xr": 0, "deciding": 0, "decide_tw_leq": 0}
-    xr, decide = engine.compute_xr, protrusion.decide_tw_leq
+    treewidth, and the calls of the certificate core decide_tw_masks they make."""
+    calls = {"compute_xr": 0, "deciding": 0, "decide_tw_masks": 0}
+    xr, decide = engine.compute_xr, protrusion.decide_tw_masks
 
     def counted_xr(*args, **kwargs):
-        before = calls["decide_tw_leq"]
+        before = calls["decide_tw_masks"]
         calls["compute_xr"] += 1
         out = xr(*args, **kwargs)
-        calls["deciding"] += calls["decide_tw_leq"] > before
+        calls["deciding"] += calls["decide_tw_masks"] > before
         return out
 
     def counted_decide(*args, **kwargs):
-        calls["decide_tw_leq"] += 1
+        calls["decide_tw_masks"] += 1
         return decide(*args, **kwargs)
 
     monkeypatch.setattr(engine, "compute_xr", counted_xr)
-    monkeypatch.setattr(protrusion, "decide_tw_leq", counted_decide)
+    monkeypatch.setattr(protrusion, "decide_tw_masks", counted_decide)
     return calls
 
 
@@ -243,7 +243,7 @@ class TestDriverLoop:
         g = generate(parse_family("grid:2,10"))
         out, log = meta_kernelize(ProblemInstance(g, 10, VC), cfg(t=2))
         assert (out.graph, out.k, log.steps) == (g, 10, [])
-        assert calls["compute_xr"] == 0 and calls["decide_tw_leq"] == 0
+        assert calls["compute_xr"] == 0 and calls["decide_tw_masks"] == 0
 
     def test_graph_under_threshold_returned_at_once(self, monkeypatch, tmp_path):
         calls = count_treewidth_calls(monkeypatch)
@@ -428,6 +428,76 @@ class TestSpliceLoop:
         assert adj_built == [] and "adj" not in out.graph.__dict__
         # split cuts out the window only, never the rest of the graph
         assert len(cut) == len(log.steps) and max(cut) <= 2 * cfg().split_c
+
+
+class TestWindowLoop:
+    """Each window is certified, validated and cut on vertex masks: no
+    TreeDecomposition is built, G[X] is never built, and each witness is
+    validated once."""
+
+    # sct preprocessing leaves this corpus graph under the threshold, with no window
+    RUNS = [("path", None), ("random-sparse", "vc"), ("random-sparse", "ds"),
+            ("random-sparse", "is"), ("random-sparse", "scattered"),
+            ("random-sparse", "cyclepacking")]
+
+    @staticmethod
+    def run(kind, pid):
+        if kind == "path":
+            inst = ProblemInstance(shuffled_family("path:200", 5), 100, VC)
+            return meta_kernelize(inst, cfg())
+        spec, g = CORPUS_SPECS[pid], generate(parse_family("random-sparse:12,14", seed=104))
+        return meta_kernelize(ProblemInstance(g, brute_opt(spec, g), spec), cfg(size_threshold=11))
+
+    @pytest.mark.parametrize("kind,pid", RUNS)
+    def test_loop_shape(self, monkeypatch, kind, pid):
+        calls = dict.fromkeys(["xr_window", "window", "validated", "split", "induced", "td"], 0)
+        xr_window = engine.xr_window
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        def window(*args):
+            y = counted("xr_window", xr_window)(*args)
+            calls["window"] += y is not None
+            return y
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("not on the window path")
+
+        monkeypatch.setattr(engine, "xr_window", window)
+        monkeypatch.setattr(treewidth, "validate_masks", counted("validated", treewidth.validate_masks))
+        monkeypatch.setattr(engine, "split", counted("split", engine.split))
+        monkeypatch.setattr(boundaried, "induced_subgraph", counted("induced", boundaried.induced_subgraph))
+        monkeypatch.setattr(protrusion, "induced_subgraph", refuse)
+        monkeypatch.setattr(treewidth, "validate", refuse)
+        for cls in (treewidth.TreeDecomposition, treewidth.NiceTreeDecomposition):
+            monkeypatch.setattr(cls, "__init__", counted("td", cls.__init__))
+        _, log = self.run(kind, pid)
+        assert calls["td"] == 0
+        assert calls["validated"] == calls["xr_window"] > 0
+        assert calls["induced"] == calls["split"] == calls["window"] >= len(log.steps) > 0
+        if kind == "path":
+            assert len(log.steps) > 50
+
+    def test_invalid_certificate_raises(self, monkeypatch):
+        # the first bag holds the first eliminated vertex, in no other bag
+        # (or is the root bag, the only one), so any vertex dropped from it
+        # leaves that vertex or one of its edges uncovered
+        certify = protrusion.decide_tw_masks
+
+        def corrupt(*args):
+            cert = certify(*args)
+            if cert is not None:
+                cert[1][0] &= cert[1][0] - 1
+            return cert
+
+        monkeypatch.setattr(protrusion, "decide_tw_masks", corrupt)
+        for kind, pid in self.RUNS[:2]:
+            with pytest.raises(ValueError, match="invalid tree decomposition"):
+                self.run(kind, pid)
 
 
 class TestVerifyKernel:

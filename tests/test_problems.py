@@ -273,6 +273,38 @@ class TestDominatingSetSignature:
         assert s.offset == 1
         assert s.table == {("I",): 1, ("D",): 0, ("F",): 0}
 
+    def test_every_state_matches_naive_enumeration(self):
+        # compute_signature's offset check reads _min_dominating, which also
+        # fills the table, so each state is checked against sets built here
+        rng = random.Random(16)
+        for _ in range(150):
+            b = random_boundaried(rng, 7, 3)
+            s = compute_signature(get_problem("ds"), b)
+            assert (s.offset, s.table) == naive_ds_signature(b), b
+
+
+def naive_ds_signature(b):
+    """ds's offset and table by subset enumeration on is_dominating.
+
+    A boundary vertex in state I is in the set, D out of it and dominated, F
+    out of it and free; a helper vertex joined to every F vertex and added to
+    each set dominates those.
+    """
+    g, n = b.graph, b.graph.n
+    bverts = [v for _, v in sorted(zip(b.labels, b.boundary))]
+    raw = {}
+    for states in itertools.product("IDF", repeat=len(bverts)):
+        h = Graph.from_edges(n + 1, list(g.edges) + [(v, n) for s, v in zip(states, bverts) if s == "F"])
+        forced = {v for s, v in zip(states, bverts) if s == "I"}
+        free = [v for v in range(n) if v not in bverts]
+        raw[states] = next(
+            (len(forced) + r for r in range(len(free) + 1) for S in itertools.combinations(free, r)
+             if is_dominating(h, forced | set(S) | {n})),
+            INF,
+        )
+    offset = min(raw.values())
+    return offset, {k: INF if z - offset > 2 * len(bverts) else z - offset for k, z in raw.items()}
+
 
 class TestCyclePackingSignature:
     def test_triangle_no_boundary(self):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,10 @@ from protkern.protrusion import (
     is_protrusion,
     partition_protrusion,
     split_protrusion,
-    xr_protrusion,
+    xr_window,
 )
-from protkern.treewidth import decide_tw_leq, make_nice, validate, width
+from protkern.treewidth import decide_tw_leq, make_nice, validate, validate_masks
+from reference import children, width, xr_protrusion
 from test_acceptance import _random_protrusion_host
 
 
@@ -167,14 +169,36 @@ def reference_xr_witness(g: Graph, R: frozenset[int], X: frozenset[int]):
     return tuple(parent), tuple(bags)
 
 
+def mask_witness(g: Graph, R, xr):
+    """The witness xr_window cuts its window from: (adjacency masks, parent
+    links, bag masks, boundary mask), all in X's numbering."""
+    cuts, cut = [], protrusion._window
+
+    def spy(*args):
+        cuts.append(args)
+        return cut(*args)
+
+    with mock.patch.object(protrusion, "_window", spy):
+        xr_window(g, R, xr, 1)
+    [(adj, parent, bags, bd, _)] = cuts
+    return adj, parent, bags, bd
+
+
 def assert_xr_witness_matches_reference(g: Graph, cut_sets):
     for R in map(frozenset, cut_sets):
         xr = compute_xr(g, R)
         p = xr_protrusion(g, R, xr)
-        assert (p.witness.parent, p.witness.bags) == reference_xr_witness(g, R, xr.X)
+        want = reference_xr_witness(g, R, xr.X)
+        assert (p.witness.parent, p.witness.bags) == want
         assert p.X == xr.X and p.boundary == boundary_of(g, xr.X)
         assert p.t == 2 * len(R) and width(p.witness) <= p.t
         assert p.witness.graph == induced_subgraph(g, xr.X)[0]
+        # the engine's witness: the same tree and bags, as masks
+        adj, parent, bags, bd = mask_witness(g, R, xr)
+        local = range(len(adj))
+        assert (tuple(parent), tuple(frozenset(i for i in local if b >> i & 1) for b in bags)) == want
+        assert adj == list(p.witness.graph.adj_masks)
+        assert bd == sum(1 << i for i, v in enumerate(sorted(xr.X)) if v in p.boundary)
 
 
 def cut_sets(n: int, sizes=range(1, 5)):
@@ -219,9 +243,12 @@ class TestXRProtrusion:
     def test_witness_is_valid(self):
         g = pendant_path_host()
         R = frozenset({0})
-        p = xr_protrusion(g, R, compute_xr(g, R))
+        xr = compute_xr(g, R)
+        p = xr_protrusion(g, R, xr)
         assert p.X == frozenset({0}) | frozenset(range(9, 21))
         assert validate(p.witness) == [] and width(p.witness) <= 2
+        adj, parent, bags, _ = mask_witness(g, R, xr)
+        assert validate_masks(adj, parent, bags)[0] == []
 
 
 class TestSplitProtrusion:
@@ -245,6 +272,19 @@ class TestSplitProtrusion:
         with pytest.raises(ValueError):
             split_protrusion(p, 3)
 
+    def test_no_window_in_range(self):
+        # R's three vertices all border a K5 of width 4 > |R|, so bd(X) = R,
+        # and every cover holds R and one more vertex: over 2c at c = 1
+        k5 = [(i, j) for i in range(3, 8) for j in range(i + 1, 8)]
+        g = Graph.from_edges(11, k5 + [(0, 3), (1, 3), (2, 3), (0, 8), (8, 9), (9, 10)])
+        R = frozenset({0, 1, 2})
+        xr = compute_xr(g, R)
+        assert xr.X == R | {8, 9, 10}
+        assert xr_window(g, R, xr, 1) is None
+        with pytest.raises(ValueError, match=re.escape("cannot extract a window in (1, 2] from this protrusion")):
+            split_protrusion(xr_protrusion(g, R, xr), 1)
+        assert xr_window(g, R, xr, 2) == split_protrusion(xr_protrusion(g, R, xr), 2)
+
     def test_independent_recheck(self):
         g = pendant_path_host()
         p = is_protrusion(g, frozenset(range(9, 21)) | {0}, 1)
@@ -263,8 +303,8 @@ def reference_split_protrusion(p, c: int) -> frozenset[int]:
     nice = make_nice(p.witness)
     back = sorted(p.X)
     bd_local = frozenset(i for i, v in enumerate(back) if v in p.boundary)
-    ch = nice.children()
-    depth = [0] * nice.num_nodes
+    ch = children(nice)
+    depth = [0] * len(nice.bags)
     order = []
     stack = [nice.root]
     while stack:
@@ -273,13 +313,13 @@ def reference_split_protrusion(p, c: int) -> frozenset[int]:
         for w in ch[u]:
             depth[w] = depth[u] + 1
             stack.append(w)
-    cover: list[frozenset[int]] = [frozenset()] * nice.num_nodes
+    cover: list[frozenset[int]] = [frozenset()] * len(nice.bags)
     for u in reversed(order):
         s = set(nice.bags[u]) | set(bd_local)
         for w in ch[u]:
             s |= cover[w]
         cover[u] = frozenset(s)
-    candidates = [u for u in range(nice.num_nodes) if len(cover[u]) > c]
+    candidates = [u for u in range(len(nice.bags)) if len(cover[u]) > c]
     b = max(candidates, key=lambda u: (depth[u], -u))
     if any(len(cover[w]) > c for w in ch[b]):
         raise AssertionError("chosen node is not deepest")
@@ -289,8 +329,10 @@ def reference_split_protrusion(p, c: int) -> frozenset[int]:
     return frozenset(back[v] for v in y_local)
 
 
-def assert_split_matches_reference(p) -> int:
-    """Compare the windows (or ValueErrors) for c = 1..9; returns the windows cut."""
+def assert_split_matches_reference(p, xr_cut=None) -> int:
+    """Compare the windows (or ValueErrors) for c = 1..9, and xr_cut(c), the
+    mask pass's window (None for a ValueError), where given; returns the
+    windows cut."""
     cut = 0
     for c in range(1, 10):
         try:
@@ -298,14 +340,17 @@ def assert_split_matches_reference(p) -> int:
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 split_protrusion(p, c)
+            assert xr_cut is None or xr_cut(c) is None, (sorted(p.X), c)
             continue
         assert split_protrusion(p, c) == want, (sorted(p.X), c)
+        assert xr_cut is None or xr_cut(c) == want, (sorted(p.X), c)
         cut += len(p.X) > 2 * c
     return cut
 
 
 class TestSplitProtrusionReference:
-    """split_protrusion on the mask nice form against the frozenset walk."""
+    """split_protrusion and xr_window on the mask nice form against the
+    frozenset walk."""
 
     @pytest.mark.parametrize(
         "family",
@@ -317,7 +362,8 @@ class TestSplitProtrusionReference:
         for R in map(frozenset, cut_sets(g.n, (1, 2))):
             xr = compute_xr(g, R)
             if xr.components:
-                cut += assert_split_matches_reference(xr_protrusion(g, R, xr))
+                p, xr_cut = xr_protrusion(g, R, xr), lambda c: xr_window(g, R, xr, c)
+                cut += assert_split_matches_reference(p, xr_cut)
         assert cut > 0
 
     def test_matches_reference_on_random_hosts(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from protkern.errors import TooLargeForExactTreewidth
 from protkern.graph import Graph, generate, parse_family
-from protkern.protrusion import compute_xr, xr_protrusion
+from protkern.protrusion import compute_xr
 from protkern.treewidth import (
     FORGET,
     INTRODUCE,
@@ -20,8 +20,9 @@ from protkern.treewidth import (
     decide_tw_leq,
     make_nice,
     validate,
-    width,
+    validate_masks,
 )
+from reference import children, width, xr_protrusion
 
 
 def brute_treewidth(g: Graph) -> int:
@@ -170,7 +171,7 @@ def reference_validate(td: TreeDecomposition) -> list[str]:
     for i, b in enumerate(td.bags):
         for v in b:
             occ[v].append(i)
-    ch = td.children()
+    ch = children(td)
     for v in range(g.n):
         nodes = occ[v]
         if not nodes:
@@ -286,13 +287,22 @@ def mutate(td: TreeDecomposition, kind: str, a: int, b: int) -> TreeDecompositio
     return dataclasses.replace(td, parent=tuple(parent), bags=tuple(bags))
 
 
+def mask_messages(td: TreeDecomposition) -> list[str]:
+    """validate(td), which must begin with the messages of validate_masks on
+    td's masks and, unless td is in nice form, end with them too."""
+    core, _ = validate_masks(td.graph.adj_masks, td.parent, [sum(1 << v for v in b) for b in td.bags])
+    msgs = validate(td)
+    assert (msgs[: len(core)] if isinstance(td, NiceTreeDecomposition) else msgs) == core
+    return msgs
+
+
 def assert_validate_matches_reference(td: TreeDecomposition):
     try:
         want = reference_validate(td)
     except KeyError:  # a bag vertex outside the graph
-        assert validate(td) != []
+        assert mask_messages(td) != []
         return
-    assert (validate(td) == []) == (want == [])
+    assert (mask_messages(td) == []) == (want == [])
 
 
 def shuffled(g: Graph, seed: int) -> Graph:
@@ -400,13 +410,23 @@ class TestValidate:
     def test_detects_uncovered_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
         td = TreeDecomposition(g, (None, 0), (frozenset({0}), frozenset({1})))
-        msgs = validate(td)
+        msgs = mask_messages(td)
         assert any("edge (0,1)" in m for m in msgs)
+        # every kind of bag fault at once, in validate's order
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+        bags = (frozenset({0, 6}), frozenset({3, 4, 5}), frozenset({0, 3}))
+        assert mask_messages(TreeDecomposition(g, (None, 0, 0), bags)) == [
+            "bag vertex 6 outside the host graph",
+            "bag vertex 5 outside the host graph",
+            "vertex 1 appears in no bag",
+            "vertex 2 appears in no bag",
+            "occurrences of vertex 3 are disconnected",
+        ] + [f"edge ({u},{v}) not contained in any bag" for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]]
 
     def test_detects_missing_vertex(self):
         g = Graph.from_edges(2, [])
         td = TreeDecomposition(g, (None,), (frozenset({0}),))
-        assert any("vertex 1" in m for m in validate(td))
+        assert any("vertex 1" in m for m in mask_messages(td))
 
     def test_detects_disconnected_occurrence(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -415,24 +435,26 @@ class TestValidate:
             (None, 0, 1),
             (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})),
         )
-        assert any("disconnected" in m for m in validate(td))
+        assert any("disconnected" in m for m in mask_messages(td))
 
     def test_detects_two_roots(self):
         g = Graph.from_edges(1, [])
         td = TreeDecomposition(g, (None, None), (frozenset({0}), frozenset({0})))
-        assert any("root" in m for m in validate(td))
+        assert any("root" in m for m in mask_messages(td))
 
     def test_detects_parent_cycle(self):
         g = Graph.from_edges(1, [])
         td = TreeDecomposition(g, (None, 2, 1), (frozenset({0}),) * 3)
-        assert validate(td) == ["cycle in parent links through node 1"]
+        assert mask_messages(td) == ["cycle in parent links through node 1"]
 
     def test_bag_vertex_outside_graph(self):
         g = Graph.from_edges(2, [(0, 1)])
         td = TreeDecomposition(g, (None,), (frozenset({0, 1, 2}),))
-        assert validate(td) == ["bag vertex 2 outside the host graph"]
+        assert mask_messages(td) == ["bag vertex 2 outside the host graph"]
         with pytest.raises(ValueError, match="outside the host graph"):
             make_nice(td)
+        below = TreeDecomposition(g, (None,), (frozenset({-1, 0, 1}),))
+        assert validate(below) == ["bag vertex -1 outside the host graph"]
 
     @settings(max_examples=150, deadline=None)
     @given(
