@@ -7,14 +7,11 @@ from dataclasses import dataclass
 from .graph import Graph, connected_components, induced_masks, induced_subgraph
 from .treewidth import (
     EXACT_TW_VERTEX_CAP,
-    FORGET,
-    NiceTreeDecomposition,
     TreeDecomposition,
     _bits,
     _nice_form,
     decide_tw_leq,
     decide_tw_masks,
-    make_nice,
 )
 from .boundaried import boundary_of
 
@@ -175,22 +172,12 @@ def _single_bag_protrusion(g: Graph, Q: frozenset[int], t_out: int) -> Protrusio
     return Protrusion(Q, boundary_of(g, Q), t_out, td)
 
 
-def _restricted_protrusion(
-    g: Graph,
-    Q: frozenset[int],
-    nice: NiceTreeDecomposition,
-    back: list[int],
-    extra: frozenset[int],
-    t_out: int,
-) -> Protrusion:
-    """Protrusion with witness = the component decomposition restricted to Q."""
+def _restricted_protrusion(g: Graph, Q: frozenset[int], nice: tuple, t_out: int) -> Protrusion:
+    """Protrusion whose witness is the nice form (parent links, host bags) restricted to Q."""
     sub, rank = induced_subgraph(g, Q)
-    bags = []
-    for bag in nice.bags:
-        host = {back[v] for v in bag} | extra
-        bags.append(frozenset(rank[v] for v in host if v in rank))
-    td = TreeDecomposition(sub, nice.parent, tuple(bags))
-    return Protrusion(Q, boundary_of(g, Q), t_out, td)
+    parent, hosts = nice
+    bags = [frozenset(rank[v] for v in host & Q) for host in hosts]
+    return Protrusion(Q, boundary_of(g, Q), t_out, TreeDecomposition(sub, parent, tuple(bags)))
 
 
 def partition_protrusion(
@@ -214,6 +201,7 @@ def partition_protrusion(
     everything = frozenset(range(g.n))
     parts: list[Protrusion] = []
     covered: set[int] = set()
+    bd_host = frozenset(p.boundary)
     for comp in connected_components(g, everything - p.X):
         comp_host = frozenset(comp)
         pc = is_protrusion(g, comp_host, p.t, vertex_cap=vertex_cap)
@@ -223,15 +211,12 @@ def partition_protrusion(
             parts.append(Protrusion(comp_host, pc.boundary, t_out, pc.witness))
             covered |= comp_host
             continue
-        nice = make_nice(pc.witness)
-        back = sorted(comp_host)
-        bd_host = frozenset(p.boundary)
-
-        marked = _mark_nodes(nice, {i for i, v in enumerate(back) if v in Z})
-        marked_bag_hosts = set()
-        for u in marked:
-            marked_bag_hosts |= {back[v] for v in nice.bags[u]}
-        marked_bag_hosts |= bd_host & comp_host
+        w, back = pc.witness, sorted(comp_host)
+        parent, bags = _nice_form(w.graph.adj_masks, w.parent, [sum(1 << v for v in b) for b in w.bags])
+        hosts = [frozenset(back[v] for v in _bits(bag)) for bag in bags]
+        nice = (tuple(parent), [host | bd_host for host in hosts])
+        marked = _mark_nodes(parent, bags, sum(1 << i for i, v in enumerate(back) if v in Z))
+        marked_bag_hosts = set(bd_host & comp_host).union(*(hosts[u] for u in marked))
 
         # components of the unmarked remainder, grouped by touched marked bags
         remainder = comp_host - marked_bag_hosts
@@ -243,18 +228,14 @@ def partition_protrusion(
                 nbrs |= g.adj[v]
             nbrs &= comp_host | bd_host
             nbrs -= cc_host
-            anchors = frozenset(
-                u for u in marked if {back[v] for v in nice.bags[u]} & nbrs
-            ) or frozenset({min(marked)})
+            anchors = frozenset(u for u in marked if hosts[u] & nbrs) or frozenset({min(marked)})
             groups.setdefault(anchors, set()).update(cc_host)
         for anchors, U in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
             nbrs = set()
             for v in U:
                 nbrs |= g.adj[v]
             Q = frozenset(U | (nbrs - U))
-            parts.extend(
-                _emit_group(g, Q, Z, nice, back, bd_host, t_out, warnings)
-            )
+            parts.extend(_emit_group(g, Q, Z, nice, t_out, warnings))
             covered |= Q
         leftovers = comp_host - covered
         for z in sorted(leftovers & Z):
@@ -262,7 +243,7 @@ def partition_protrusion(
             covered.add(z)
         rest = leftovers - Z
         for u in sorted(marked):
-            chunk = frozenset({back[v] for v in nice.bags[u]} & rest)
+            chunk = hosts[u] & rest
             if chunk:
                 parts.append(_single_bag_protrusion(g, chunk, t_out))
                 rest -= chunk
@@ -278,45 +259,26 @@ def partition_protrusion(
     return PartitionResult(parts, warnings)
 
 
-def _mark_nodes(nice: NiceTreeDecomposition, z_local: set[int]) -> set[int]:
-    """Topmost forget nodes of Z vertices plus the root, closed under LCAs."""
-    marked = {nice.root}
-    for kid, u in enumerate(nice.parent):  # a forget node has one child
-        if u is not None and nice.kinds[u] == FORGET and (nice.bags[kid] - nice.bags[u]) & z_local:
-            marked.add(kid)
-    # ancestors for LCA computation
-    parent = nice.parent
-
-    def ancestors(u: int) -> list[int]:
-        out = []
-        while u is not None:
-            out.append(u)
-            u = parent[u]
-        return out
-
-    changed = True
-    while changed:
-        changed = False
-        ms = sorted(marked)
-        for i, a in enumerate(ms):
-            anc_a = ancestors(a)
-            pos = {x: k for k, x in enumerate(anc_a)}
-            for b in ms[i + 1 :]:
-                u = b
-                while u not in pos:
-                    u = parent[u]
-                if u not in marked:
-                    marked.add(u)
-                    changed = True
+def _mark_nodes(parent, bags: list[int], z: int) -> set[int]:
+    """Topmost forget nodes of the vertices in mask z, plus the root, closed
+    under lowest common ancestors.  In a nice form only a forget node's child
+    holds a vertex its parent lacks, and the closure adds exactly the nodes
+    with marks below two children: one pass up the post-order finds them."""
+    marked, below = set(), [0] * len(parent)  # children whose subtrees hold marks
+    for u, p in enumerate(parent):
+        if p is None or below[u] > 1 or bags[u] & ~bags[p] & z:
+            marked.add(u)
+        if p is not None and (below[u] or u in marked):
+            below[p] += 1
     return marked
 
 
-def _emit_group(g, Q, Z, nice, back, bd_host, t_out, warnings):
+def _emit_group(g, Q, Z, nice, t_out, warnings):
     """Emit Q (or z-repaired pieces of it) as protrusions."""
     out = []
     bad_z = sorted(z for z in Z & Q if g.adj[z] and g.adj[z] <= Q)
     if not bad_z:
-        out.append(_restricted_protrusion(g, Q, nice, back, bd_host, t_out))
+        out.append(_restricted_protrusion(g, Q, nice, t_out))
         return out
     # a Z vertex would be interior: split Q at that vertex so each piece
     # misses one of its neighbors
@@ -325,13 +287,11 @@ def _emit_group(g, Q, Z, nice, back, bd_host, t_out, warnings):
     comps = [frozenset(cc) for cc in connected_components(g, set(range(g.n)) - rest)]
     if len(comps) >= 2:
         for cc in sorted(comps, key=min):
-            out.extend(
-                _emit_group(g, frozenset(cc | {z}), Z, nice, back, bd_host, t_out, warnings)
-            )
+            out.extend(_emit_group(g, frozenset(cc | {z}), Z, nice, t_out, warnings))
         return out
     # z is not a cut vertex of G[Q]; fall back to a singleton for z
     out.append(_single_bag_protrusion(g, frozenset({z}), t_out))
-    piece = _restricted_protrusion(g, frozenset(rest), nice, back, bd_host, t_out)
+    piece = _restricted_protrusion(g, frozenset(rest), nice, t_out)
     if len(piece.boundary) > t_out:
         warnings.append(
             f"piece boundary {len(piece.boundary)} exceeds {t_out} after repair"

@@ -9,11 +9,6 @@ from .graph import Graph
 
 EXACT_TW_VERTEX_CAP = 32
 
-LEAF = "leaf"
-INTRODUCE = "introduce"
-FORGET = "forget"
-JOIN = "join"
-
 
 @dataclass(frozen=True)
 class TreeDecomposition:
@@ -29,13 +24,6 @@ class TreeDecomposition:
             if p is None:
                 return i
         raise ValueError("decomposition has no root")
-
-
-@dataclass(frozen=True)
-class NiceTreeDecomposition(TreeDecomposition):
-    """Binary decomposition with leaf/introduce/forget/join node kinds."""
-
-    kinds: tuple = ()
 
 
 def validate_masks(adj, parent, bags: list[int]) -> tuple[list[str], list | None]:
@@ -87,45 +75,11 @@ def validate_masks(adj, parent, bags: list[int]) -> tuple[list[str], list | None
 
 
 def validate(td: TreeDecomposition) -> list[str]:
-    """Empty list iff td is a valid (and, for nice form, well-kinded) decomposition."""
+    """Empty list iff td is a valid tree decomposition of td.graph."""
     masks = [sum(1 << v for v in bag if v >= 0) for bag in td.bags]  # masks hold no negative vertex
     out, ch = validate_masks(td.graph.adj_masks, td.parent, masks)
     if ch is not None:  # the tree checks passed, so report those vertices first
         out[:0] = [f"bag vertex {v} outside the host graph" for bag in td.bags for v in bag if v < 0]
-        if isinstance(td, NiceTreeDecomposition):
-            out += _validate_nice(td, ch)
-    return out
-
-
-def _validate_nice(td: NiceTreeDecomposition, ch: list[list[int]]) -> list[str]:
-    out = []
-    if len(td.kinds) != len(td.bags):
-        return ["kinds/bag arrays differ in length"]
-    for i, kind in enumerate(td.kinds):
-        kids = ch[i]
-        bag = td.bags[i]
-        if kind == LEAF:
-            if kids:
-                out.append(f"leaf node {i} has children")
-            if len(bag) > 1:
-                out.append(f"leaf node {i} has bag of size {len(bag)}")
-        elif kind == INTRODUCE:
-            if len(kids) != 1:
-                out.append(f"introduce node {i} must have one child")
-            elif not (td.bags[kids[0]] < bag and len(bag - td.bags[kids[0]]) == 1):
-                out.append(f"introduce node {i} does not add exactly one vertex")
-        elif kind == FORGET:
-            if len(kids) != 1:
-                out.append(f"forget node {i} must have one child")
-            elif not (bag < td.bags[kids[0]] and len(td.bags[kids[0]] - bag) == 1):
-                out.append(f"forget node {i} does not drop exactly one vertex")
-        elif kind == JOIN:
-            if len(kids) != 2:
-                out.append(f"join node {i} must have two children")
-            elif not (td.bags[kids[0]] == td.bags[kids[1]] == bag):
-                out.append(f"join node {i} children bags differ from its own")
-        else:
-            out.append(f"node {i} has unknown kind '{kind}'")
     return out
 
 
@@ -324,13 +278,10 @@ def _nice_form(adj, parent, bags: list[int]) -> tuple[list, list[int]]:
     return nice_parent, nice_bags
 
 
-def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Width-preserving nice form of td, with the same root."""
+def make_nice(td: TreeDecomposition) -> TreeDecomposition:
+    """Width-preserving nice form of td, with the same root: every node is a
+    leaf, has two children with its bag, or has one child whose bag differs
+    from its own by one vertex."""
     parent, bags = _nice_form(td.graph.adj_masks, td.parent, [sum(1 << v for v in b) for b in td.bags])
-    # a node's kind follows from its children: none, two, or one with a smaller or larger bag
-    kinds = [LEAF] * len(bags)
-    for w, p in enumerate(parent):
-        if p is not None:
-            kinds[p] = JOIN if kinds[p] != LEAF else INTRODUCE if bags[p] & ~bags[w] else FORGET
     nodes = [frozenset(_bits(bag)) for bag in bags]
-    return NiceTreeDecomposition(td.graph, tuple(parent), tuple(nodes), tuple(kinds))
+    return TreeDecomposition(td.graph, tuple(parent), tuple(nodes))

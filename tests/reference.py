@@ -2,7 +2,9 @@
 
 `xr_protrusion` builds X_R's protrusion as frozenset objects, the form the
 engine's mask pass in `protrusion.xr_window` replaced.  `children` and
-`width` read a TreeDecomposition for the tests.
+`width` read a TreeDecomposition for the tests.  The package's nice forms
+carry no node kinds: `nice_kinds` derives them, `validate_nice` checks them,
+and `reference_mark_nodes` is the partition's marking on those kinds.
 """
 
 from protkern.boundaried import boundary_of
@@ -18,6 +20,83 @@ def children(td: TreeDecomposition) -> list[list[int]]:
         if p is not None:
             ch[p].append(i)
     return ch
+
+
+LEAF, INTRODUCE, FORGET, JOIN = "leaf", "introduce", "forget", "join"
+
+
+def nice_kinds(parent, bags) -> list[str]:
+    """Each node's kind in a nice form with frozenset bags, from its
+    children: none, two, or one with a smaller or larger bag."""
+    kinds = [LEAF] * len(bags)
+    for w, p in enumerate(parent):
+        if p is not None:
+            kinds[p] = JOIN if kinds[p] != LEAF else INTRODUCE if bags[p] - bags[w] else FORGET
+    return kinds
+
+
+def validate_nice(td: TreeDecomposition, kinds) -> list[str]:
+    """Empty list iff each node of td fits its kind; td's parent links must
+    form a tree."""
+    if len(kinds) != len(td.bags):
+        return ["kinds/bag arrays differ in length"]
+    out = []
+    for i, (kind, kids, bag) in enumerate(zip(kinds, children(td), td.bags)):
+        if kind == LEAF:
+            if kids:
+                out.append(f"leaf node {i} has children")
+            if len(bag) > 1:
+                out.append(f"leaf node {i} has bag of size {len(bag)}")
+        elif kind == INTRODUCE:
+            if len(kids) != 1:
+                out.append(f"introduce node {i} must have one child")
+            elif not (td.bags[kids[0]] < bag and len(bag - td.bags[kids[0]]) == 1):
+                out.append(f"introduce node {i} does not add exactly one vertex")
+        elif kind == FORGET:
+            if len(kids) != 1:
+                out.append(f"forget node {i} must have one child")
+            elif not (bag < td.bags[kids[0]] and len(td.bags[kids[0]] - bag) == 1):
+                out.append(f"forget node {i} does not drop exactly one vertex")
+        elif kind == JOIN:
+            if len(kids) != 2:
+                out.append(f"join node {i} must have two children")
+            elif not (td.bags[kids[0]] == td.bags[kids[1]] == bag):
+                out.append(f"join node {i} children bags differ from its own")
+        else:
+            out.append(f"node {i} has unknown kind '{kind}'")
+    return out
+
+
+def reference_mark_nodes(parent, bags, z_local: set[int]) -> set[int]:
+    """Topmost forget nodes of z_local's vertices plus the root, closed under
+    LCAs by a pairwise fixpoint; a nice form's frozenset bags."""
+    kinds = nice_kinds(parent, bags)
+    marked = {parent.index(None)}
+    for kid, u in enumerate(parent):  # a forget node has one child
+        if u is not None and kinds[u] == FORGET and (bags[kid] - bags[u]) & z_local:
+            marked.add(kid)
+
+    def ancestors(u: int) -> list[int]:
+        out = []
+        while u is not None:
+            out.append(u)
+            u = parent[u]
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        ms = sorted(marked)
+        for i, a in enumerate(ms):
+            pos = set(ancestors(a))
+            for b in ms[i + 1 :]:
+                u = b
+                while u not in pos:
+                    u = parent[u]
+                if u not in marked:
+                    marked.add(u)
+                    changed = True
+    return marked
 
 
 def width(td: TreeDecomposition) -> int:

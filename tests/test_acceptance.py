@@ -214,15 +214,21 @@ def test_03_window_extraction_contract():
     assert violations == 0
 
 
+def _marked_protrusion(rng):
+    """A random protrusion host, its protrusion, and 1-4 marked interior vertices."""
+    g, X, t = _random_protrusion_host(rng)
+    p = is_protrusion(g, X, t, vertex_cap=64)
+    interior = sorted(X - boundary_of(g, X))
+    return g, p, frozenset(rng.sample(interior, min(len(interior), rng.randrange(1, 5))))
+
+
 def test_04_marked_partition_contract():
     rng = random.Random(999)
     hard = 0
     flagged = 0
     for _ in range(100):
-        g, X, t = _random_protrusion_host(rng)
-        p = is_protrusion(g, X, t, vertex_cap=64)
-        interior = sorted(X - boundary_of(g, X))
-        Z = frozenset(rng.sample(interior, min(len(interior), rng.randrange(1, 5))))
+        g, p, Z = _marked_protrusion(rng)
+        X, t = p.X, p.t
         res = partition_protrusion(g, p, Z, vertex_cap=64)
         covered = set()
         for q in res.parts:

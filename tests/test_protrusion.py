@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -7,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protkern import protrusion
+from protkern import protrusion, treewidth
 from protkern.boundaried import boundary_of
 from protkern.graph import Graph, connected_components, generate, induced_subgraph, parse_family
 from protkern.protrusion import (
+    _mark_nodes,
     compute_xr,
     is_protrusion,
     partition_protrusion,
     split_protrusion,
     xr_window,
 )
-from protkern.treewidth import decide_tw_leq, make_nice, validate, validate_masks
-from reference import children, width, xr_protrusion
-from test_acceptance import _random_protrusion_host
+from protkern.treewidth import _nice_form, decide_tw_leq, make_nice, validate, validate_masks
+from reference import children, reference_mark_nodes, width, xr_protrusion
+from test_acceptance import _marked_protrusion, _random_protrusion_host
 
 
 def pendant_path_host():
@@ -375,7 +377,31 @@ class TestSplitProtrusionReference:
         assert cut > 0
 
 
+def partition_digest(cases) -> tuple[int, str]:
+    """The number of parts and a sha256 of every part (X, boundary, t, witness
+    parent links and bags) and the warnings of partition_protrusion."""
+    h, count = hashlib.sha256(), 0
+    for g, p, Z in cases:
+        res = partition_protrusion(g, p, Z, vertex_cap=64)
+        count += len(res.parts)
+        for q in res.parts:
+            w = q.witness
+            h.update(repr((sorted(q.X), sorted(q.boundary), q.t, w.parent, [sorted(b) for b in w.bags])).encode())
+        h.update(repr(res.warnings).encode())
+    return count, h.hexdigest()
+
+
 class TestPartitionProtrusion:
+    @pytest.fixture(autouse=True)
+    def refuse_make_nice(self, monkeypatch):
+        """The partition cuts _nice_form's mask bags, never make_nice's."""
+
+        def refuse(*args):
+            raise AssertionError("partition_protrusion called make_nice")
+
+        monkeypatch.setattr(treewidth, "make_nice", refuse)
+        monkeypatch.setattr(protrusion, "make_nice", refuse, raising=False)
+
     def _check(self, g, p, Z):
         res = partition_protrusion(g, p, Z)
         covered = set()
@@ -424,3 +450,58 @@ class TestPartitionProtrusion:
         )
         p = is_protrusion(g, {1, 2, 3, 4, 5, 6, 7, 8}, 2)
         self._check(g, p, {2, 6})
+
+    def test_outputs_pinned(self):
+        # criterion 4's first 300 random marked protrusions (its 100 lead
+        # them) and the four fixed cases above; the digest is the one the
+        # partition gave on make_nice's frozenset nice form
+        rng = random.Random(999)
+        path = generate(parse_family("path:10"))
+        star = generate(parse_family("star-of-paths:3,6"))
+        two = Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8)])
+        cases = [_marked_protrusion(rng) for _ in range(300)] + [
+            (path, is_protrusion(path, set(range(1, 10)), 1), {5}),
+            (star, is_protrusion(star, set(range(star.n)), 1), {3, 9, 15}),
+            (path, is_protrusion(path, set(range(1, 10)), 1), {1, 9}),
+            (two, is_protrusion(two, {1, 2, 3, 4, 5, 6, 7, 8}, 2), {2, 6}),
+        ]
+        assert partition_digest(cases) == (
+            1712, "034c5f9b4d9c110a52055c9e16aef510dc11a213fb3218e5c1e764a063b436e7"
+        )
+
+
+def assert_marks_match_reference(td, zs) -> int:
+    """_mark_nodes on the mask nice form of td against the pairwise-LCA
+    fixpoint, for each vertex mask in zs; returns the marks beyond the root."""
+    n, extra = td.graph.n, 0
+    parent, bags = _nice_form(td.graph.adj_masks, td.parent, [sum(1 << v for v in b) for b in td.bags])
+    sets = [frozenset(v for v in range(n) if bag >> v & 1) for bag in bags]
+    for z in zs:
+        marked = _mark_nodes(parent, bags, z)
+        assert marked == reference_mark_nodes(parent, sets, {v for v in range(n) if z >> v & 1})
+        extra += len(marked) - 1
+    return extra
+
+
+class TestMarkNodes:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_graphs(),
+        st.integers(min_value=0, max_value=3),
+        st.lists(st.integers(min_value=0, max_value=2**10 - 1), min_size=1, max_size=4),
+    )
+    def test_matches_fixpoint_on_certificates(self, g, t, zs):
+        td = decide_tw_leq(g, t)
+        if td is not None:
+            assert_marks_match_reference(td, [z & (1 << g.n) - 1 for z in zs])
+
+    def test_matches_fixpoint_on_random_hosts(self):
+        rng = random.Random(4)
+        extra = 0
+        for _ in range(100):
+            g, X, t = _random_protrusion_host(rng)
+            td = is_protrusion(g, X, t, vertex_cap=64).witness
+            n = td.graph.n
+            sparse = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(4)]
+            extra += assert_marks_match_reference(td, sparse + [1 << rng.randrange(n), rng.getrandbits(n)])
+        assert extra > 0

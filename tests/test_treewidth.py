@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 from protkern.errors import TooLargeForExactTreewidth
 from protkern.graph import Graph, generate, parse_family
 from protkern.protrusion import compute_xr
-from protkern.treewidth import (
+from protkern.treewidth import TreeDecomposition, decide_tw_leq, make_nice, validate, validate_masks
+from reference import (
     FORGET,
     INTRODUCE,
     JOIN,
     LEAF,
-    NiceTreeDecomposition,
-    TreeDecomposition,
-    _validate_nice,
-    decide_tw_leq,
-    make_nice,
-    validate,
-    validate_masks,
+    children,
+    nice_kinds,
+    validate_nice,
+    width,
+    xr_protrusion,
 )
-from reference import children, width, xr_protrusion
 
 
 def brute_treewidth(g: Graph) -> int:
@@ -194,8 +192,6 @@ def reference_validate(td: TreeDecomposition) -> list[str]:
     for u, v in sorted(g.edges):
         if not any(u in b and v in b for b in td.bags):
             out.append(f"edge ({u},{v}) not contained in any bag")
-    if isinstance(td, NiceTreeDecomposition):
-        out.extend(_validate_nice(td, ch))
     return out
 
 
@@ -238,8 +234,9 @@ class ReferenceNiceBuilder:
         return node
 
 
-def reference_make_nice(td: TreeDecomposition, root: int) -> NiceTreeDecomposition:
-    """Nice form after re-orienting the parent links toward `root`."""
+def reference_make_nice(td: TreeDecomposition, root: int) -> tuple[TreeDecomposition, list[str]]:
+    """Nice form after re-orienting the parent links toward `root`, and the
+    kind each node was built as."""
     ch: list[list[int]] = [[] for _ in td.bags]
     undirected: list[set[int]] = [set() for _ in td.bags]
     for i, p in enumerate(td.parent):
@@ -268,7 +265,7 @@ def reference_make_nice(td: TreeDecomposition, root: int) -> NiceTreeDecompositi
         return top
 
     build(root)
-    return NiceTreeDecomposition(td.graph, tuple(b.parent), tuple(b.bags), tuple(b.kinds))
+    return TreeDecomposition(td.graph, tuple(b.parent), tuple(b.bags)), b.kinds
 
 
 def mutate(td: TreeDecomposition, kind: str, a: int, b: int) -> TreeDecomposition:
@@ -288,11 +285,10 @@ def mutate(td: TreeDecomposition, kind: str, a: int, b: int) -> TreeDecompositio
 
 
 def mask_messages(td: TreeDecomposition) -> list[str]:
-    """validate(td), which must begin with the messages of validate_masks on
-    td's masks and, unless td is in nice form, end with them too."""
+    """validate(td), which must equal the messages of validate_masks on td's masks."""
     core, _ = validate_masks(td.graph.adj_masks, td.parent, [sum(1 << v for v in b) for b in td.bags])
     msgs = validate(td)
-    assert (msgs[: len(core)] if isinstance(td, NiceTreeDecomposition) else msgs) == core
+    assert msgs == core
     return msgs
 
 
@@ -468,7 +464,9 @@ class TestValidate:
         td = decide_tw_leq(g, t)
         if td is None:
             return
-        for d in (td, make_nice(td)):
+        nice = make_nice(td)
+        assert validate_nice(nice, nice_kinds(nice.parent, nice.bags)) == []
+        for d in (td, nice):
             assert_validate_matches_reference(d)
             assert_validate_matches_reference(mutate(d, kind, a, b))
 
@@ -480,19 +478,41 @@ class TestNiceForm:
         tw = brute_treewidth(g)
         td = decide_tw_leq(g, tw)
         nice = make_nice(td)
-        assert validate(nice) == []
+        assert validate(nice) == validate_nice(nice, nice_kinds(nice.parent, nice.bags)) == []
         assert width(nice) <= width(td)
 
     def test_kinds_partition_nodes(self):
         g = generate(parse_family("grid:2,3"))
         nice = make_nice(decide_tw_leq(g, 2))
-        assert isinstance(nice, NiceTreeDecomposition)
-        assert set(nice.kinds) <= {"leaf", "introduce", "forget", "join"}
+        assert type(nice) is TreeDecomposition
+        assert set(nice_kinds(nice.parent, nice.bags)) <= {"leaf", "introduce", "forget", "join"}
 
     def test_join_appears_for_branching_graph(self):
         g = generate(parse_family("star-of-paths:3,3"))
         nice = make_nice(decide_tw_leq(g, 1))
-        assert "join" in nice.kinds
+        assert "join" in nice_kinds(nice.parent, nice.bags)
+
+    def test_kind_validator_flags_each_fault(self):
+        # path 0-1-2 as leaf {0}, introduce {0,1}, forget {1}, introduce {1,2}
+        g = generate(parse_family("path:3"))
+        bags = tuple(map(frozenset, ({0}, {0, 1}, {1}, {1, 2})))
+        td = TreeDecomposition(g, (1, 2, 3, None), bags)
+        kinds = nice_kinds(td.parent, td.bags)
+        assert kinds == [LEAF, INTRODUCE, FORGET, INTRODUCE]
+        assert validate_nice(td, kinds) == []
+        assert validate_nice(td, kinds[:3]) == ["kinds/bag arrays differ in length"]
+        assert validate_nice(td, [INTRODUCE, JOIN, INTRODUCE, FORGET]) == [
+            "introduce node 0 must have one child",
+            "join node 1 must have two children",
+            "introduce node 2 does not add exactly one vertex",
+            "forget node 3 does not drop exactly one vertex",
+        ]
+        assert validate_nice(td, [LEAF, LEAF, "bud", JOIN]) == [
+            "leaf node 1 has children",
+            "leaf node 1 has bag of size 2",
+            "node 2 has unknown kind 'bud'",
+            "join node 3 must have two children",
+        ]
 
     def test_rejects_invalid_input(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -505,8 +525,8 @@ class TestNiceForm:
     def test_matches_reference_on_certificates(self, g, t):
         td = decide_tw_leq(g, t)
         if td is not None:
-            nice, ref = make_nice(td), reference_make_nice(td, td.root)
-            assert (nice.parent, nice.bags, nice.kinds) == (ref.parent, ref.bags, ref.kinds)
+            nice, (ref, kinds) = make_nice(td), reference_make_nice(td, td.root)
+            assert (nice.parent, nice.bags, nice_kinds(nice.parent, nice.bags)) == (ref.parent, ref.bags, kinds)
 
     @pytest.mark.parametrize(
         "family",
@@ -523,7 +543,7 @@ class TestNiceForm:
                 continue
             td = xr_protrusion(g, R, xr).witness
             assert validate(td) == reference_validate(td) == []
-            nice, ref = make_nice(td), reference_make_nice(td, td.root)
-            assert (nice.parent, nice.bags, nice.kinds) == (ref.parent, ref.bags, ref.kinds)
+            nice, (ref, kinds) = make_nice(td), reference_make_nice(td, td.root)
+            assert (nice.parent, nice.bags, nice_kinds(nice.parent, nice.bags)) == (ref.parent, ref.bags, kinds)
             checked += 1
         assert checked > 0
