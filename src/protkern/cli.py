@@ -18,6 +18,8 @@ EXIT_CAPS = 3
 
 
 def _load_graph(args):
+    if args.input and args.family:
+        raise EdgeListParseError("give only one of --input and --family")
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
@@ -100,7 +102,11 @@ def _add_problem_args(p):
 
 def _add_engine_args(p):
     p.add_argument("--t", type=int, default=1)
-    p.add_argument("--r-search", type=int, default=None, dest="r_search")
+    p.add_argument(
+        "--r-search", type=int, default=None, dest="r_search",
+        help="largest cut set tried (default 2t); above 64 vertices only cut"
+        " vertices and pairs of them within 2c are tried, so values over 2 add nothing",
+    )
     p.add_argument("--split-c", type=int, default=EngineConfig.split_c, dest="split_c")
     p.add_argument("--size-threshold", type=int, default=None, dest="size_threshold")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)

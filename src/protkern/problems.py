@@ -199,10 +199,25 @@ def _min_dominating(g: Graph, required: int, candidates: int, forced: int):
     return best
 
 
-def _max_cycle_packing(masks: tuple[int, ...]) -> int:
-    """Most vertex-disjoint cycles, memoized per vertex mask: the mask's least
-    vertex v is left out, or closes a cycle along a path through the rest."""
-    memo: dict[int, int] = {}
+def _paths(masks, v: int, within: int):
+    """Each simple path from v through the mask `within`, depth-first: (its mask, its end)."""
+    paths = [(1 << v, v)]
+    while paths:
+        used, u = paths.pop()
+        yield used, u
+        nxt = masks[u] & within & ~used
+        while nxt:
+            low = nxt & -nxt
+            paths.append((used | low, low.bit_length() - 1))
+            nxt ^= low
+
+
+def _max_cycle_packing(masks: tuple[int, ...], avail: int, memo: dict | None = None) -> int:
+    """Most vertex-disjoint cycles inside the vertex mask `avail`: its least
+    vertex v is left out, or closes a cycle along a path through the rest.
+    Calls with the same adjacency masks may share one `memo` dict."""
+    if memo is None:
+        memo = {}
 
     def go(avail: int) -> int:
         if avail.bit_count() < 3:
@@ -212,20 +227,13 @@ def _max_cycle_packing(masks: tuple[int, ...]) -> int:
         v = (avail & -avail).bit_length() - 1
         rest = avail ^ 1 << v
         best = go(rest)
-        paths = [(1 << v, v)]  # depth-first: (path's vertex mask, its end)
-        while paths:
-            used, u = paths.pop()
+        for used, u in _paths(masks, v, rest):
             if used.bit_count() >= 3 and masks[u] >> v & 1:
                 best = max(best, 1 + go(avail & ~used))
-            nxt = masks[u] & rest & ~used
-            while nxt:
-                low = nxt & -nxt
-                paths.append((used | low, low.bit_length() - 1))
-                nxt ^= low
         memo[avail] = best
         return best
 
-    return go((1 << len(masks)) - 1)
+    return go(avail)
 
 
 def _short_cycle(masks: list[int], s: int) -> list[int] | None:
@@ -290,7 +298,7 @@ def brute_opt(spec: ProblemSpec, g: Graph) -> int:
     if spec.id == "ds":
         return int(_min_dominating(g, full, full, 0))
     if spec.id == "cyclepacking":
-        return _max_cycle_packing(g.adj_masks)
+        return _max_cycle_packing(g.adj_masks, (1 << g.n) - 1)
     if spec.id == "sct":
         return int(_min_short_cycle_transversal(list(g.adj_masks), spec.s))
     raise ValueError(f"unknown problem id '{spec.id}'")
@@ -380,106 +388,49 @@ def _ds_table(b: BoundariedGraph, interior: int) -> dict:
     return raw
 
 
-def _matchings(labels: list[int]):
-    """All partial matchings on `labels` as frozensets of sorted label pairs."""
-    out = []
-
-    def go(rest: tuple[int, ...], acc: frozenset):
-        if len(rest) < 2:
-            out.append(acc)
-            return
-        x = rest[0]
-        tail = rest[1:]
-        go(tail, acc)  # x stays unmatched
-        for i, y in enumerate(tail):
-            go(tail[:i] + tail[i + 1 :], acc | {(x, y)})
-
-    go(tuple(labels), frozenset())
-    return out
+def _matchings(labels: tuple[int, ...]):
+    """All partial matchings on the sorted `labels`, as sorted tuples of pairs."""
+    if len(labels) < 2:
+        yield ()
+        return
+    x, tail = labels[0], labels[1:]
+    yield from _matchings(tail)  # x stays unmatched
+    for i, y in enumerate(tail):
+        for rest in _matchings(tail[:i] + tail[i + 1 :]):
+            yield ((x, y),) + rest
 
 
 def _cycle_packing_table(b: BoundariedGraph) -> dict:
-    """Table over (reserved labels, boundary matching) states: best cycle count
-    of a max-degree-2 subgraph that avoids every reserved boundary vertex and
-    links each matched pair by a path.
+    """Table over (reserved labels, boundary matching) states: most disjoint
+    cycles left once the best set of disjoint paths links each matched pair,
+    avoiding the reserved vertices; -INF if the pairs cannot be linked.
 
     The reserved set records boundary vertices claimed by cycles that live
-    entirely on the other side of the boundary; without it, two graphs whose
-    internal packings differ in whether they occupy a boundary vertex would be
-    conflated (a triangle through the boundary vertex is not interchangeable
-    with one avoiding it).
+    entirely on the other side of the boundary; without it, a triangle through
+    a boundary vertex would be conflated with one avoiding it.
     """
-    g = b.graph
-    labels = sorted(b.labels)
+    masks = b.graph.adj_masks
+    labels = tuple(sorted(b.labels))
     vert = {l: b.vertex_of_label(l) for l in labels}
-    edges = sorted(g.edges)
-    states = []
+    memo: dict[int, int] = {}
+
+    def link(pairs: tuple, avail: int) -> float:
+        # best packing of what is left of `avail` once `pairs` are linked in it
+        if not pairs:
+            return _max_cycle_packing(masks, avail, memo)
+        x, y = (vert[l] for l in pairs[0])
+        ends = (used for used, u in _paths(masks, x, avail) if masks[u] >> y & 1)
+        return max((link(pairs[1:], avail & ~used) for used in ends), default=-INF)
+
+    raw = {}
     for bits in range(1 << len(labels)):
         reserved = tuple(l for i, l in enumerate(labels) if bits >> i & 1)
-        for R in _matchings([l for l in labels if l not in reserved]):
-            states.append((reserved, tuple(sorted(R))))
-    best: dict[tuple, float] = {st: -INF for st in states}
-
-    deg = [0] * g.n
-    chosen: list[tuple[int, int]] = []
-
-    def evaluate():
-        # union-find over the chosen subgraph
-        par = list(range(g.n))
-
-        def find(x):
-            while par[x] != x:
-                par[x] = par[par[x]]
-                x = par[x]
-            return x
-
-        used = set()
-        for u, v in chosen:
-            used.add(u)
-            used.add(v)
-            par[find(u)] = find(v)
-        comp_edges: dict[int, int] = {}
-        comp_size: dict[int, int] = {}
-        for u, v in chosen:
-            comp_edges[find(u)] = comp_edges.get(find(u), 0) + 1
-        for u in used:
-            comp_size[find(u)] = comp_size.get(find(u), 0) + 1
-        cycles = sum(
-            1 for c, e in comp_edges.items() if e == comp_size.get(c, 0)
-        )
-        for st in states:
-            reserved, R = st
-            if any(vert[a] in used for a in reserved):
-                continue
-            # each matched pair must be the two endpoints of its own path
-            # component; the closing edges live on the far side of the
-            # boundary, so the terminals keep one free edge slot each
-            ok = all(
-                find(vert[x]) == find(vert[y])
-                and deg[vert[x]] == 1
-                and deg[vert[y]] == 1
-                for x, y in R
-            )
-            if ok and cycles > best[st]:
-                best[st] = cycles
-
-    def branch(i: int):
-        if i == len(edges):
-            evaluate()
-            return
-        branch(i + 1)
-        u, v = edges[i]
-        if deg[u] < 2 and deg[v] < 2:
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append((u, v))
-            branch(i + 1)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-
-    branch(0)
-    return best
+        for R in _matchings(tuple(l for l in labels if l not in reserved)):
+            # a path's ends keep their other edge slot for the far side's
+            # closing edges, so they carry no cycle and no other path
+            taken = sum(1 << vert[l] for l in reserved + sum(R, ()))
+            raw[(reserved, R)] = link(R, (1 << b.graph.n) - 1 & ~taken)
+    return raw
 
 
 def _scattered_table(b: BoundariedGraph, r: int) -> tuple[dict, dict]:
@@ -590,6 +541,7 @@ def sct_preprocess(g: Graph, s: int) -> tuple[Graph, list[int]]:
     (densely relabeled) and the removed vertices in original ids.
     """
     masks = list(g.adj_masks)
-    keep = [v for v in range(g.n) if any(_on_short_cycle(masks, v, u, s) for u in g.adj[v])]
+    keep = [v for v in range(g.n)
+            if any(masks[v] >> u & 1 and _on_short_cycle(masks, v, u, s) for u in range(g.n))]
     out, _ = induced_subgraph(g, keep)
     return out, sorted(set(range(g.n)).difference(keep))

@@ -57,6 +57,15 @@ class TestKernelize:
     def test_missing_input_is_parse_error(self, capsys):
         assert run("kernelize", "--problem", "vc", "--k", "1") == EXIT_PARSE
 
+    def test_input_and_family_is_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "g.txt"
+        run("gen", "--family", "path:12", "--out", str(src))
+        code = run(
+            "kernelize", "--problem", "vc", "--k", "2", "--input", str(src), "--family", "path:5"
+        )
+        assert code == EXIT_PARSE
+        assert "only one of --input and --family" in capsys.readouterr().err
+
     def test_parse_error_on_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a graph")

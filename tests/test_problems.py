@@ -451,6 +451,142 @@ class TestScatteredMatchesReference:
             assert (got.class_key(), got.offset) == (want.class_key(), want.offset), b
 
 
+def reference_matchings(labels: list[int]):
+    """All partial matchings on `labels` as frozensets of sorted label pairs."""
+    out = []
+
+    def go(rest: tuple[int, ...], acc: frozenset):
+        if len(rest) < 2:
+            out.append(acc)
+            return
+        x = rest[0]
+        tail = rest[1:]
+        go(tail, acc)  # x stays unmatched
+        for i, y in enumerate(tail):
+            go(tail[:i] + tail[i + 1 :], acc | {(x, y)})
+
+    go(tuple(labels), frozenset())
+    return out
+
+
+def reference_cycle_packing_table(b: BoundariedGraph) -> dict:
+    """Table over (reserved labels, boundary matching) states: best cycle count
+    of a max-degree-2 subgraph that avoids every reserved boundary vertex and
+    links each matched pair by a path.
+
+    The reserved set records boundary vertices claimed by cycles that live
+    entirely on the other side of the boundary; without it, two graphs whose
+    internal packings differ in whether they occupy a boundary vertex would be
+    conflated (a triangle through the boundary vertex is not interchangeable
+    with one avoiding it).
+    """
+    g = b.graph
+    labels = sorted(b.labels)
+    vert = {l: b.vertex_of_label(l) for l in labels}
+    edges = sorted(g.edges)
+    states = []
+    for bits in range(1 << len(labels)):
+        reserved = tuple(l for i, l in enumerate(labels) if bits >> i & 1)
+        for R in reference_matchings([l for l in labels if l not in reserved]):
+            states.append((reserved, tuple(sorted(R))))
+    best: dict[tuple, float] = {st: -INF for st in states}
+
+    deg = [0] * g.n
+    chosen: list[tuple[int, int]] = []
+
+    def evaluate():
+        # union-find over the chosen subgraph
+        par = list(range(g.n))
+
+        def find(x):
+            while par[x] != x:
+                par[x] = par[par[x]]
+                x = par[x]
+            return x
+
+        used = set()
+        for u, v in chosen:
+            used.add(u)
+            used.add(v)
+            par[find(u)] = find(v)
+        comp_edges: dict[int, int] = {}
+        comp_size: dict[int, int] = {}
+        for u, v in chosen:
+            comp_edges[find(u)] = comp_edges.get(find(u), 0) + 1
+        for u in used:
+            comp_size[find(u)] = comp_size.get(find(u), 0) + 1
+        cycles = sum(
+            1 for c, e in comp_edges.items() if e == comp_size.get(c, 0)
+        )
+        for st in states:
+            reserved, R = st
+            if any(vert[a] in used for a in reserved):
+                continue
+            # each matched pair must be the two endpoints of its own path
+            # component; the closing edges live on the far side of the
+            # boundary, so the terminals keep one free edge slot each
+            ok = all(
+                find(vert[x]) == find(vert[y])
+                and deg[vert[x]] == 1
+                and deg[vert[y]] == 1
+                for x, y in R
+            )
+            if ok and cycles > best[st]:
+                best[st] = cycles
+
+    def branch(i: int):
+        if i == len(edges):
+            evaluate()
+            return
+        branch(i + 1)
+        u, v = edges[i]
+        if deg[u] < 2 and deg[v] < 2:
+            deg[u] += 1
+            deg[v] += 1
+            chosen.append((u, v))
+            branch(i + 1)
+            chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
+
+    branch(0)
+    return best
+
+
+def reference_cycle_packing_signature(b):
+    """Edge-subset table normalized by its best finite value, capped at |labels|."""
+    raw = reference_cycle_packing_table(b)
+    offset = max(z for z in raw.values() if z != -INF)
+    cap = len(b.labels)
+    table = {k: -INF if abs(z - offset) > cap else int(z - offset) for k, z in raw.items()}
+    return raw, Signature(b.label_set, offset, table)
+
+
+class TestCyclePackingMatchesReference:
+    def check(self, windows):
+        spec = get_problem("cyclepacking")
+        checked = 0
+        for b in windows:
+            try:
+                got = compute_signature(spec, b)
+            except OracleCapExceeded:
+                continue
+            want_raw, want = reference_cycle_packing_signature(b)
+            assert problems._cycle_packing_table(b) == want_raw, b
+            assert (got.class_key(), got.offset) == (want.class_key(), want.offset), b
+            checked += 1
+        return checked
+
+    def test_signature_windows(self, signature_windows):
+        assert self.check(signature_windows) > len(signature_windows) // 2
+
+    def test_five_labels(self):
+        rng = random.Random(5)
+        windows = [random_boundaried(rng, 10, 5, 0.5) for _ in range(100)]
+        assert self.check(windows) == len(windows)
+        assert max(len(b.labels) for b in windows) == 5
+
+
 class TestShortCycleSignature:
     def test_triangle(self):
         s = compute_signature(get_problem("sct", s=3), BoundariedGraph(K3, (), ()))
@@ -652,8 +788,8 @@ class TestSctPreprocess:
         assert sct_preprocess(c4, 4)[0].n == 4
 
     def test_fixed_point_cascades(self):
-        # removing the bridge path strands nothing else here, but a second
-        # round is needed when a cycle relies on removed vertices
+        # the pendant path goes in one pass: a vertex on no short cycle is on
+        # none of the cycles that the kept vertices rely on
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
         out, removed = sct_preprocess(g, 3)
         assert out.n == 3 and removed == [3, 4]
