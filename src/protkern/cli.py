@@ -7,7 +7,7 @@ import json
 import sys
 import time
 
-from .engine import DEFAULT_ENUM_BUDGET, EngineConfig, meta_kernelize, verify_kernel
+from .engine import EngineConfig, meta_kernelize, verify_kernel
 from .errors import EdgeListParseError, OracleCapExceeded, TooLargeForExactTreewidth
 from .graph import generate, parse_edge_list, parse_family, write_edge_list
 from .problems import PROBLEM_IDS, ProblemInstance, get_problem
@@ -33,14 +33,7 @@ def _spec(args):
 
 
 def _config(args):
-    return EngineConfig(
-        t=args.t,
-        r_search=args.r_search,
-        split_c=args.split_c,
-        size_threshold=args.size_threshold,
-        enum_budget=args.budget,
-        cache_path=args.cache,
-    )
+    return EngineConfig(t=args.t, size_threshold=args.size_threshold, cache_path=args.cache)
 
 
 def cmd_kernelize(args) -> int:
@@ -102,14 +95,7 @@ def _add_problem_args(p):
 
 def _add_engine_args(p):
     p.add_argument("--t", type=int, default=1)
-    p.add_argument(
-        "--r-search", type=int, default=None, dest="r_search",
-        help="largest cut set tried (default 2t); above 64 vertices only cut"
-        " vertices and pairs of them within 2c are tried, so values over 2 add nothing",
-    )
-    p.add_argument("--split-c", type=int, default=EngineConfig.split_c, dest="split_c")
     p.add_argument("--size-threshold", type=int, default=None, dest="size_threshold")
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--cache", default=None, help="replacement answer file; changes no kernel")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .boundaried import CANONIZATION_CAP, split
+from .boundaried import split
 from .errors import CanonizationCapExceeded, OracleCapExceeded
 from .graph import Graph, articulation_points, distances_from
 from .problems import MAX, ProblemInstance, ProblemSpec, decide, sct_preprocess
@@ -13,35 +13,22 @@ from .protrusion import compute_xr, xr_window
 from .replace import BUDGET, FOUND, RepCache, apply_replacement, find_replacement
 
 EXHAUSTIVE_SCAN_LIMIT = 64  # above this, candidate cut sets are heuristic
-DEFAULT_ENUM_BUDGET = 20000
+SPLIT_C = 5  # windows have SPLIT_C + 1 to 2 * SPLIT_C vertices
+ENUM_BUDGET = 20000  # raw candidates a replacement search may enumerate
 
 
 @dataclass
 class EngineConfig:
-    t: int
-    r_search: int | None = None  # defaults to 2t
-    split_c: int = 5
-    size_threshold: int | None = None  # defaults to 4*split_c + 2*(2t+1)
-    enum_budget: int = DEFAULT_ENUM_BUDGET
+    t: int  # protrusion width; cut sets have at most 2t vertices
+    size_threshold: int | None = None  # defaults to 4*SPLIT_C + 2*(2t+1)
     cache_path: str | None = None
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("t must be at least 1")
-        # windows have more than split_c vertices, and canonization stops at
-        # CANONIZATION_CAP, so a larger split_c would never reduce anything
-        if not 1 <= self.split_c < CANONIZATION_CAP:
-            raise ValueError(f"split_c must be between 1 and {CANONIZATION_CAP - 1}")
-        if self.r_search is None:
-            self.r_search = 2 * self.t
-        # no cut set or no candidate would ever be tried
-        if self.r_search < 1:
-            raise ValueError("r_search must be at least 1")
-        if self.enum_budget < 1:
-            raise ValueError("enum_budget must be at least 1")
         if self.size_threshold is None:
-            self.size_threshold = 4 * self.split_c + 2 * (2 * self.t + 1)
-        if self.size_threshold <= 2 * self.split_c:
+            self.size_threshold = 4 * SPLIT_C + 2 * (2 * self.t + 1)
+        if self.size_threshold <= 2 * SPLIT_C:
             raise ValueError("size_threshold must exceed twice the split target")
 
 
@@ -76,22 +63,21 @@ def trivial_instance(spec: ProblemSpec) -> ProblemInstance:
 # candidate cut sets
 
 
-def _candidate_sets(g: Graph, r_search: int, split_c: int):
+def _candidate_sets(g: Graph, r: int):
     if g.n <= EXHAUSTIVE_SCAN_LIMIT:
-        for size in range(1, r_search + 1):
+        for size in range(1, r + 1):
             yield from itertools.combinations(range(g.n), size)
         return
     # large graphs: articulation points and nearby pairs of them only
     arts = articulation_points(g)
     for v in arts:
         yield (v,)
-    if r_search >= 2:
-        limit = 2 * split_c
-        for i, a in enumerate(arts):
-            dist = distances_from(g, [a])
-            for b in arts[i + 1 :]:
-                if dist[b] <= limit:
-                    yield (a, b)
+    limit = 2 * SPLIT_C
+    for i, a in enumerate(arts):
+        dist = distances_from(g, [a])
+        for b in arts[i + 1 :]:
+            if dist[b] <= limit:
+                yield (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +112,20 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
         if inst.graph.n <= max(inst.k, 0) or inst.graph.n < cfg.size_threshold:
             return inst, log
         fired = False
-        for R in _candidate_sets(inst.graph, cfg.r_search, cfg.split_c):
+        for R in _candidate_sets(inst.graph, 2 * cfg.t):
             Rset = frozenset(R)
             xr = compute_xr(inst.graph, Rset, min_size=cfg.size_threshold)
             for w in xr.warnings:
                 warn(w)
             if len(xr.X) < cfg.size_threshold:
                 continue
-            y = xr_window(inst.graph, Rset, xr, cfg.split_c)
+            y = xr_window(inst.graph, Rset, xr, SPLIT_C)
             if y is None:
                 continue
             sr = split(inst.graph, y)
             b = sr.g_x
             try:
-                res = find_replacement(
-                    spec, b, cache=cache, budget=cfg.enum_budget, t=cfg.t
-                )
+                res = find_replacement(spec, b, cache=cache, budget=ENUM_BUDGET, t=cfg.t)
             except (CanonizationCapExceeded, OracleCapExceeded):
                 continue
             if res.status == FOUND:

@@ -203,9 +203,12 @@ def parse_family(text: str, seed: int = 0) -> FamilySpec:
     kind, _, rest = text.partition(":")
     if kind not in FAMILY_FORMS:
         raise ValueError(f"unknown family kind '{kind}'")
-    params = tuple(int(x) for x in rest.split(",")) if rest else ()
+    try:
+        params = tuple(int(x) for x in rest.split(",")) if rest else ()
+    except ValueError:
+        params = None  # a parameter that is not an integer
     counts, form = FAMILY_FORMS[kind]
-    if len(params) not in counts:
+    if params is None or len(params) not in counts:
         raise ValueError(f"family '{kind}' takes the form {form}")
     return FamilySpec(kind, params, seed)
 

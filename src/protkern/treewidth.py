@@ -18,13 +18,6 @@ class TreeDecomposition:
     parent: tuple
     bags: tuple
 
-    @property
-    def root(self) -> int:
-        for i, p in enumerate(self.parent):
-            if p is None:
-                return i
-        raise ValueError("decomposition has no root")
-
 
 def validate_masks(adj, parent, bags: list[int]) -> tuple[list[str], list | None]:
     """validate's checks on adjacency masks, parent links and bag masks: the

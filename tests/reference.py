@@ -1,8 +1,8 @@
 """Test-side helpers and reference code; not part of protkern.
 
 `xr_protrusion` builds X_R's protrusion as frozenset objects, the form the
-engine's mask pass in `protrusion.xr_window` replaced.  `children` and
-`width` read a TreeDecomposition for the tests.  The package's nice forms
+engine's mask pass in `protrusion.xr_window` replaced.  `children`, `root`
+and `width` read a TreeDecomposition for the tests.  The package's nice forms
 carry no node kinds: `nice_kinds` derives them, `validate_nice` checks them,
 and `reference_mark_nodes` is the partition's marking on those kinds.
 """
@@ -97,6 +97,11 @@ def reference_mark_nodes(parent, bags, z_local: set[int]) -> set[int]:
                     marked.add(u)
                     changed = True
     return marked
+
+
+def root(td: TreeDecomposition) -> int:
+    """The node whose parent is None."""
+    return td.parent.index(None)
 
 
 def width(td: TreeDecomposition) -> int:

@@ -24,7 +24,7 @@ class TestGen:
     def test_bad_family(self, capsys):
         assert run("gen", "--family", "nonsense:1") == EXIT_PARSE
 
-    @pytest.mark.parametrize("family", ["path", "path:3,4", "star-of-paths:2"])
+    @pytest.mark.parametrize("family", ["path", "path:3,4", "star-of-paths:2", "grid:a,b", "grid:1e3,2"])
     def test_wrong_parameter_count(self, capsys, family):
         assert run("gen", "--family", family) == EXIT_PARSE
         assert "takes the form" in capsys.readouterr().err
@@ -97,22 +97,26 @@ class TestKernelize:
             ["--problem", "ds", "--r", "0"],
             ["--problem", "vc", "--r", "2"],
             ["--problem", "is", "--s", "3"],
-            ["--problem", "vc", "--split-c", "10"],
-            ["--problem", "vc", "--r-search", "0"],
-            ["--problem", "vc", "--budget", "0"],
             ["--problem", "ds", "--r", "2"],
         ],
     )
     def test_bad_parameter_is_argument_error(self, tmp_path, capsys, args):
-        # a ds radius below 1 can turn this NO instance into a YES kernel, ds
-        # has no table for a radius above 1, windows of more than 10 vertices
-        # are never canonized, and with no cut set or no candidate to try
-        # nothing is ever reduced
+        # a ds radius below 1 can turn this NO instance into a YES kernel, and
+        # ds has no table for a radius above 1
         src = tmp_path / "g.txt"
         run("gen", "--family", "path:14", "--out", str(src))
         code = run("kernelize", *args, "--k", "12", "--input", str(src))
         assert code == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--r-search", "--split-c", "--budget"])
+    def test_removed_engine_flag_is_usage_error(self, capsys, flag):
+        # cut sets of up to 2t vertices, windows of c = 5 and a search budget
+        # of 20000 are fixed, not settings
+        with pytest.raises(SystemExit) as exc:
+            run("kernelize", "--problem", "vc", "--k", "3", "--family", "path:14", flag, "2")
+        assert exc.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:

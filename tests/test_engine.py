@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
+import math
 import random
 import sys
+from collections import Counter
 from functools import cached_property
 
 import pytest
@@ -62,9 +65,21 @@ def count_treewidth_calls(monkeypatch) -> dict:
 
 class TestConfig:
     def test_defaults_derive_from_t(self):
-        c = EngineConfig(t=2)
-        assert c.r_search == 4
-        assert c.size_threshold == 4 * c.split_c + 2 * 5
+        assert EngineConfig(t=2).size_threshold == 4 * engine.SPLIT_C + 2 * 5
+
+    def test_fields(self):
+        # the cut-set bound, window size and search budget are fixed, not settings
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == ["t", "size_threshold", "cache_path"]
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_cut_sets_have_up_to_2t_vertices(self, monkeypatch, t):
+        sizes = []
+        xr = engine.compute_xr
+        monkeypatch.setattr(engine, "compute_xr", lambda g, R, **kw: (sizes.append(len(R)), xr(g, R, **kw))[1])
+        monkeypatch.setattr(engine, "xr_window", lambda *args: None)  # nothing fires, so every cut set is tried
+        g = generate(parse_family("grid:2,8"))
+        meta_kernelize(ProblemInstance(g, 8, VC), cfg(t=t, size_threshold=11))
+        assert Counter(sizes) == {s: math.comb(16, s) for s in range(1, 2 * t + 1)}
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
@@ -72,23 +87,7 @@ class TestConfig:
 
     def test_rejects_tiny_threshold(self):
         with pytest.raises(ValueError):
-            EngineConfig(t=1, split_c=5, size_threshold=10)
-
-    @pytest.mark.parametrize("split_c", [-1, 0, 10, 12])
-    def test_rejects_split_c_outside_canonizable_windows(self, split_c):
-        # windows have more than split_c vertices, and canonization stops at 10
-        with pytest.raises(ValueError):
-            EngineConfig(t=1, split_c=split_c)
-
-    def test_accepts_largest_canonizable_split_c(self):
-        assert EngineConfig(t=1, split_c=9).size_threshold == 42
-
-    @pytest.mark.parametrize("field", ["r_search", "enum_budget"])
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_rejects_settings_that_never_reduce(self, field, value):
-        # vc on path:40 at k = 20 would otherwise return 0 steps
-        with pytest.raises(ValueError, match=field):
-            EngineConfig(t=1, **{field: value})
+            EngineConfig(t=1, size_threshold=10)
 
 
 class TestTrivialInstances:
@@ -170,6 +169,18 @@ class TestDriverLoop:
             assert (again.graph, again.k) == (first.graph, first.k)
             assert log3.steps == log1.steps  # the file changed no kernel
         assert path.read_bytes() == written
+
+    def test_cache_keys_end_with_the_search_budget(self, tmp_path, monkeypatch):
+        # files written when the budget was a setting keyed its default, 20000,
+        # so they must still answer
+        path = tmp_path / "reps.tsv"
+        fresh_table(monkeypatch)
+        _, log = meta_kernelize(
+            ProblemInstance(generate(parse_family("path:40")), 3, VC), cfg(cache_path=str(path))
+        )
+        header, *records = path.read_text().splitlines()
+        assert log.steps and header == replace.CACHE_HEADER and records
+        assert all(r.split("\t")[4] == "20000" for r in records)
 
     def test_file_answers_checked_once_per_run(self, tmp_path, monkeypatch):
         path = str(tmp_path / "reps.tsv")
@@ -427,7 +438,7 @@ class TestSpliceLoop:
         assert validated == [inst.graph]
         assert adj_built == [] and "adj" not in out.graph.__dict__
         # split cuts out the window only, never the rest of the graph
-        assert len(cut) == len(log.steps) and max(cut) <= 2 * cfg().split_c
+        assert len(cut) == len(log.steps) and max(cut) <= 2 * engine.SPLIT_C
 
 
 class TestWindowLoop:

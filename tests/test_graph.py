@@ -163,6 +163,8 @@ class TestFamilies:
             ("star-of-paths:2", "star-of-paths:K,LENGTH"),
             ("random-sparse:5,10,2", "random-sparse:N[,PERCENT]"),
             ("grid:2,2+cycle", "cycle:N"),
+            ("grid:a,b", "grid:A,B"),
+            ("grid:1e3,2", "grid:A,B"),
         ],
     )
     def test_parameter_count(self, text, form):

@@ -20,7 +20,7 @@ from protkern.protrusion import (
     xr_window,
 )
 from protkern.treewidth import _nice_form, decide_tw_leq, make_nice, validate, validate_masks
-from reference import children, reference_mark_nodes, width, xr_protrusion
+from reference import children, reference_mark_nodes, root, width, xr_protrusion
 from test_acceptance import _marked_protrusion, _random_protrusion_host
 
 
@@ -308,7 +308,7 @@ def reference_split_protrusion(p, c: int) -> frozenset[int]:
     ch = children(nice)
     depth = [0] * len(nice.bags)
     order = []
-    stack = [nice.root]
+    stack = [root(nice)]
     while stack:
         u = stack.pop()
         order.append(u)

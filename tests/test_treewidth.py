@@ -17,6 +17,7 @@ from reference import (
     LEAF,
     children,
     nice_kinds,
+    root,
     validate_nice,
     width,
     xr_protrusion,
@@ -525,7 +526,7 @@ class TestNiceForm:
     def test_matches_reference_on_certificates(self, g, t):
         td = decide_tw_leq(g, t)
         if td is not None:
-            nice, (ref, kinds) = make_nice(td), reference_make_nice(td, td.root)
+            nice, (ref, kinds) = make_nice(td), reference_make_nice(td, root(td))
             assert (nice.parent, nice.bags, nice_kinds(nice.parent, nice.bags)) == (ref.parent, ref.bags, kinds)
 
     @pytest.mark.parametrize(
@@ -543,7 +544,7 @@ class TestNiceForm:
                 continue
             td = xr_protrusion(g, R, xr).witness
             assert validate(td) == reference_validate(td) == []
-            nice, (ref, kinds) = make_nice(td), reference_make_nice(td, td.root)
+            nice, (ref, kinds) = make_nice(td), reference_make_nice(td, root(td))
             assert (nice.parent, nice.bags, nice_kinds(nice.parent, nice.bags)) == (ref.parent, ref.bags, kinds)
             checked += 1
         assert checked > 0
