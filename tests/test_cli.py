@@ -97,12 +97,17 @@ class TestKernelize:
             ["--problem", "ds", "--r", "0"],
             ["--problem", "vc", "--r", "2"],
             ["--problem", "is", "--s", "3"],
+            ["--problem", "vc", "--t", "0"],
+            ["--problem", "vc", "--size-threshold", "10"],
+            ["--problem", "sct", "--s", "2"],
             ["--problem", "ds", "--r", "2"],
         ],
     )
     def test_bad_parameter_is_argument_error(self, tmp_path, capsys, args):
-        # a ds radius below 1 can turn this NO instance into a YES kernel, and
-        # ds has no table for a radius above 1
+        # a ds radius below 1 can turn this NO instance into a YES kernel, ds
+        # has no table for a radius above 1, a protrusion needs width at least
+        # 1, a part no larger than two c = 5 windows is never split, and sct
+        # has no cycle shorter than 3
         src = tmp_path / "g.txt"
         run("gen", "--family", "path:14", "--out", str(src))
         code = run("kernelize", *args, "--k", "12", "--input", str(src))
