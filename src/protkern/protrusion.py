@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import treewidth
 from .graph import Graph, connected_components, induced_masks, induced_subgraph
 from .treewidth import (
     EXACT_TW_VERTEX_CAP,
@@ -116,33 +117,97 @@ def xr_window(g: Graph, R, xr: XRResult, c: int) -> frozenset[int] | None:
 
 def _window(adj, parent, bags: list[int], bd: int, c: int) -> int | None:
     """split_protrusion on masks, bd being the boundary: the window's mask,
-    or None when no window in (c, 2c] exists."""
+    or None when no window in (c, 2c] exists; ValueError for a witness that
+    validate_masks rejects.
+
+    The window is the cover (subtree bags and bd) of the deepest node of
+    _nice_form's nice form whose cover exceeds c, ties going to the smaller
+    post-order id, found on the witness's own nodes without building that
+    form.  There, a child k of a node x with m children gets a block: k's
+    nice subtree, then chains forgetting bags[k] - bags[x] and introducing
+    bags[x] - bags[k], each ascending; left-deep joins of the blocks' tops
+    follow.  A leaf is a node of its lowest vertex plus an introduce chain.
+    """
+    bad, ch = treewidth.validate_masks(adj, parent, bags)
+    if bad:
+        raise ValueError("invalid tree decomposition: " + "; ".join(bad))
     n = len(adj)
     if n <= 2 * c:
         return (1 << n) - 1 if n > c else None
-    parent, bags = _nice_form(adj, parent, bags)
-    # covers and depths: ids exceed descendants', and the root, last, covers n > 2c
-    cover = [bag | bd for bag in bags]
-    for u in range(len(parent) - 1):
-        cover[parent[u]] |= cover[u]
-    depth, b = [0] * len(parent), len(parent) - 1
-    for u in range(len(parent) - 2, -1, -1):  # top down, so ties go to the smaller id
-        depth[u] = depth[parent[u]] + 1
-        if depth[u] >= depth[b] and cover[u].bit_count() > c:
-            b = u
-    if any(parent[w] == b and cover[w].bit_count() > c for w in range(b)):
+    # walk meets the nice nodes over c with no child over c in post-order and
+    # keeps the first of the deepest; a forget node covers what its child does
+    best = [-1, 0, ()]  # depth, cover, its children's covers
+
+    def chain(acc: int, add: int, depth: int, kids: tuple) -> None:
+        """Meets the first node over c of a chain adding add's vertices to
+        acc in ascending order, its first node at depth with children kids."""
+        while add:
+            low = add & -add
+            add ^= low
+            if (acc | low).bit_count() > c:
+                if depth > best[0]:
+                    best[:] = depth, acc | low, kids
+                return
+            acc |= low
+            kids, depth = (acc,), depth - 1
+
+    def walk(x: int, d: int) -> int:
+        """Meets the candidates in x's nice subtree, whose top is at depth
+        d, and returns x's cover."""
+        bag, kids = bags[x], ch[x]
+        cover = bag | bd
+        if not kids:
+            if cover.bit_count() > c:
+                if bag:
+                    chain(bd, bag, d + bag.bit_count() - 1, ())
+                elif d > best[0]:
+                    best[:] = d, bd, ()
+            return cover
+        tops, top = [], d + len(kids) - 1  # the depth of the next block's top
+        for k in kids:
+            below = walk(k, top + (bags[k] ^ bag).bit_count())
+            if below.bit_count() <= c < (below | bag).bit_count():
+                add = bag & ~bags[k]
+                chain(below, add, top + add.bit_count() - 1, (below,))
+            tops.append(below | bag)
+            top -= len(tops) > 1
+        if len(tops) > 1:
+            join(tops, d + len(tops) - 1)
+        for t in tops:
+            cover |= t
+        return cover
+
+    def join(tops: list[int], depth: int) -> None:
+        """The first join over c of the block tops, the first join being at
+        depth - 1, unless a block top before it is already over c."""
+        acc = tops[0]
+        for t in tops[1:]:
+            depth -= 1
+            if acc.bit_count() > c or t.bit_count() > c:
+                return
+            if (acc | t).bit_count() > c:
+                if depth > best[0]:
+                    best[:] = depth, acc | t, (acc, t)
+                return
+            acc |= t
+
+    walk(parent.index(None), 0)
+    depth, y, kids = best
+    if any(k.bit_count() > c for k in kids):
         raise AssertionError("chosen node is not deepest")
     # over 2c only when a single bag plus the boundary overshoots it
-    return cover[b] if cover[b].bit_count() <= 2 * c else None
+    return y if y.bit_count() <= 2 * c else None
 
 
 def split_protrusion(p: Protrusion, c: int) -> frozenset[int]:
     """Vertex set Y of a (2t+1)-protrusion with c < |Y| <= 2c inside an
     oversized protrusion.
 
-    Walks a rooted nice decomposition of G[X] to the deepest node whose
+    Y is the cover of the deepest node of the witness's nice form whose
     subtree (together with bd(X)) covers more than c vertices; ties break to
-    the smallest node id.
+    the smallest node id.  _window finds that node on the witness's own
+    nodes, without building the nice form, after validating the witness
+    (ValueError if invalid), also when X itself is returned.
     """
     if c <= 0:
         raise ValueError("split target c must be positive")

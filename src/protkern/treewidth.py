@@ -233,7 +233,8 @@ def _nice_form(adj, parent, bags: list[int]) -> tuple[list, list[int]]:
 
     A node is created after all of its descendants, so node ids are a
     post-order and the root is the last node.  Forget and introduce chains
-    each go in ascending vertex order.
+    each go in ascending vertex order.  make_nice and partition_protrusion
+    build it; protrusion._window walks this layout without building it.
     """
     bad, ch = validate_masks(adj, parent, bags)
     if bad:

@@ -5,12 +5,13 @@ engine's mask pass in `protrusion.xr_window` replaced.  `children`, `root`
 and `width` read a TreeDecomposition for the tests.  The package's nice forms
 carry no node kinds: `nice_kinds` derives them, `validate_nice` checks them,
 and `reference_mark_nodes` is the partition's marking on those kinds.
+`reference_window` is `protrusion._window` walked on `_nice_form`'s nodes.
 """
 
 from protkern.boundaried import boundary_of
 from protkern.graph import Graph, induced_subgraph
 from protkern.protrusion import Protrusion, XRResult
-from protkern.treewidth import TreeDecomposition
+from protkern.treewidth import TreeDecomposition, _nice_form
 
 
 def children(td: TreeDecomposition) -> list[list[int]]:
@@ -128,3 +129,25 @@ def xr_protrusion(g: Graph, R, xr: XRResult) -> Protrusion:
             parent.append(0 if p is None else offset + p)
     witness = TreeDecomposition(sub, tuple(parent), tuple(bags))
     return Protrusion(xr.X, boundary_of(g, xr.X), 2 * len(R), witness)
+
+
+def reference_window(adj, parent, bags: list[int], bd: int, c: int) -> int | None:
+    """split_protrusion on masks, bd being the boundary: the window's mask,
+    or None when no window in (c, 2c] exists."""
+    n = len(adj)
+    if n <= 2 * c:
+        return (1 << n) - 1 if n > c else None
+    parent, bags = _nice_form(adj, parent, bags)
+    # covers and depths: ids exceed descendants', and the root, last, covers n > 2c
+    cover = [bag | bd for bag in bags]
+    for u in range(len(parent) - 1):
+        cover[parent[u]] |= cover[u]
+    depth, b = [0] * len(parent), len(parent) - 1
+    for u in range(len(parent) - 2, -1, -1):  # top down, so ties go to the smaller id
+        depth[u] = depth[parent[u]] + 1
+        if depth[u] >= depth[b] and cover[u].bit_count() > c:
+            b = u
+    if any(parent[w] == b and cover[w].bit_count() > c for w in range(b)):
+        raise AssertionError("chosen node is not deepest")
+    # over 2c only when a single bag plus the boundary overshoots it
+    return cover[b] if cover[b].bit_count() <= 2 * c else None

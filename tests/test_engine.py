@@ -443,8 +443,8 @@ class TestSpliceLoop:
 
 class TestWindowLoop:
     """Each window is certified, validated and cut on vertex masks: no
-    TreeDecomposition is built, G[X] is never built, and each witness is
-    validated once."""
+    TreeDecomposition or nice form is built, G[X] is never built, and each
+    witness is validated once."""
 
     # sct preprocessing leaves this corpus graph under the threshold, with no window
     RUNS = [("path", None), ("random-sparse", "vc"), ("random-sparse", "ds"),
@@ -484,6 +484,8 @@ class TestWindowLoop:
         monkeypatch.setattr(boundaried, "induced_subgraph", counted("induced", boundaried.induced_subgraph))
         monkeypatch.setattr(protrusion, "induced_subgraph", refuse)
         monkeypatch.setattr(treewidth, "validate", refuse)
+        monkeypatch.setattr(treewidth, "_nice_form", refuse)
+        monkeypatch.setattr(protrusion, "_nice_form", refuse)
         init = treewidth.TreeDecomposition.__init__
         monkeypatch.setattr(treewidth.TreeDecomposition, "__init__", counted("td", init))
         _, log = self.run(kind, pid)

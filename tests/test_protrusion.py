@@ -13,14 +13,23 @@ from protkern.boundaried import boundary_of
 from protkern.graph import Graph, connected_components, generate, induced_subgraph, parse_family
 from protkern.protrusion import (
     _mark_nodes,
+    _window,
     compute_xr,
     is_protrusion,
     partition_protrusion,
     split_protrusion,
     xr_window,
 )
-from protkern.treewidth import _nice_form, decide_tw_leq, make_nice, validate, validate_masks
-from reference import children, reference_mark_nodes, root, width, xr_protrusion
+from protkern.treewidth import (
+    TreeDecomposition,
+    _nice_form,
+    decide_tw_leq,
+    decide_tw_masks,
+    make_nice,
+    validate,
+    validate_masks,
+)
+from reference import children, reference_mark_nodes, reference_window, root, width, xr_protrusion
 from test_acceptance import _marked_protrusion, _random_protrusion_host
 
 
@@ -268,6 +277,15 @@ class TestSplitProtrusion:
         p = is_protrusion(g, set(range(4)), 1)
         assert split_protrusion(p, 3) == p.X
 
+    def test_small_invalid_witness_raises(self):
+        # singleton bags cover no edge of the path, also when |X| <= 2c
+        g = generate(parse_family("path:6"))
+        bad = TreeDecomposition(g, (None, 0, 1, 2, 3, 4), tuple(frozenset({v}) for v in range(6)))
+        p = protrusion.Protrusion(frozenset(range(6)), frozenset(), 1, bad)
+        for c in (2, 3):
+            with pytest.raises(ValueError, match="invalid tree decomposition"):
+                split_protrusion(p, c)
+
     def test_rejects_undersized(self):
         g = generate(parse_family("path:8"))
         p = is_protrusion(g, set(range(3)), 1)
@@ -350,9 +368,74 @@ def assert_split_matches_reference(p, xr_cut=None) -> int:
     return cut
 
 
+def random_witnesses(seed: int, count: int):
+    """count decide_tw_masks certificates of random graphs on at most 24
+    vertices, each a random t-tree (t in 1..3) with shuffled vertices that
+    keeps each edge with a random probability, and a random boundary mask:
+    (adjacency masks, parent links, bag masks, boundary mask)."""
+    rng, out = random.Random(seed), []
+    for _ in range(count):
+        n, t, p = rng.randint(1, 24), rng.randint(1, 3), rng.random()
+        label, adj, cliques = rng.sample(range(n), n), [0] * n, [list(range(min(n, t + 1)))]
+        for v in range(t + 1, n):
+            cliques.append(rng.sample(rng.choice(cliques), t) + [v])
+        for clique in cliques:
+            for u, v in itertools.combinations(clique, 2):
+                if rng.random() < p:
+                    adj[label[u]] |= 1 << label[v]
+                    adj[label[v]] |= 1 << label[u]
+        parent, bags = decide_tw_masks(adj, t)
+        out.append((adj, parent, bags, rng.getrandbits(n) & rng.getrandbits(n)))
+    return out
+
+
+def join_before_later_cover(parent, bags, bd, c) -> bool:
+    """Whether a node's first join over c comes before a child whose block
+    top exceeds c: a window candidate that a join scan stopping at any child
+    over c would miss."""
+    ch = [[] for _ in bags]
+    for u, p in enumerate(parent):
+        if p is not None:
+            ch[p].append(u)
+    order = [parent.index(None)]
+    for u in order:
+        order.extend(ch[u])
+    cover = [bag | bd for bag in bags]
+    for u in reversed(order[1:]):
+        cover[parent[u]] |= cover[u]
+    for x, kids in enumerate(ch):
+        tops, acc = [cover[k] | bags[x] for k in kids], 0
+        for i, top in enumerate(tops):
+            acc |= top
+            if top.bit_count() > c or acc.bit_count() > c:
+                if top.bit_count() <= c and any(later.bit_count() > c for later in tops[i + 1:]):
+                    return True
+                break
+    return False
+
+
+class TestWindowReference:
+    """_window, walked on the witness's nodes, against the nice-form walk."""
+
+    def test_matches_reference_on_certificates(self):
+        later = 0
+        for adj, parent, bags, bd in random_witnesses(0, 5000):
+            for c in range(1, 7):
+                assert _window(adj, parent, bags, bd, c) == reference_window(adj, parent, bags, bd, c)
+                later += join_before_later_cover(parent, bags, bd, c)
+        assert later > 0
+
+    def test_outputs_pinned(self):
+        # the digest is the one the nice-form walk gave
+        h = hashlib.sha256()
+        for adj, parent, bags, bd in random_witnesses(1, 500):
+            h.update(repr([_window(adj, parent, bags, bd, c) for c in range(1, 7)]).encode())
+        assert h.hexdigest() == "e8ced95ffe045fb82b6198ebba4a262a90e2cdcfc7d1846918efe3e573629049"
+
+
 class TestSplitProtrusionReference:
-    """split_protrusion and xr_window on the mask nice form against the
-    frozenset walk."""
+    """split_protrusion and xr_window, cut on the witness's mask nodes,
+    against the frozenset walk on make_nice's nice form."""
 
     @pytest.mark.parametrize(
         "family",
