@@ -482,7 +482,7 @@ def _sct_table(b: BoundariedGraph, s: int) -> dict:
         for u, v in cut:
             masks[u] ^= 1 << v
             masks[v] ^= 1 << u
-        if any(masks[u] >> v & 1 and _on_short_cycle(masks, u, v, s) for u, v in edges):
+        if _short_cycle(masks, s) is not None:
             continue
         rows = [_ball(masks, v, s) for v in bverts]
         vec = tuple(

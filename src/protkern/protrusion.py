@@ -115,6 +115,17 @@ def xr_window(g: Graph, R, xr: XRResult, c: int) -> frozenset[int] | None:
 # splitting an oversized protrusion (small-window extraction)
 
 
+def _first_over(acc: int, parts: list[int], c: int):
+    """The first of a chain of nice nodes whose covers grow from acc by the
+    masks parts in turn to cover more than c vertices: (its index, its
+    child's cover, its cover), or None."""
+    for i, part in enumerate(parts):
+        if (acc | part).bit_count() > c:
+            return i, acc, acc | part
+        acc |= part
+    return None
+
+
 def _window(adj, parent, bags: list[int], bd: int, c: int) -> int | None:
     """split_protrusion on masks, bd being the boundary: the window's mask,
     or None when no window in (c, 2c] exists; ValueError for a witness that
@@ -127,71 +138,51 @@ def _window(adj, parent, bags: list[int], bd: int, c: int) -> int | None:
     nice subtree, then chains forgetting bags[k] - bags[x] and introducing
     bags[x] - bags[k], each ascending; left-deep joins of the blocks' tops
     follow.  A leaf is a node of its lowest vertex plus an introduce chain.
+    One pass down validate_masks' post-order finds the depth of each nice
+    subtree's top, and one pass up it the covers and candidates, so a
+    witness of any depth is cut without recursion.
     """
-    bad, ch = treewidth.validate_masks(adj, parent, bags)
+    bad, tree = treewidth.validate_masks(adj, parent, bags)
     if bad:
         raise ValueError("invalid tree decomposition: " + "; ".join(bad))
     n = len(adj)
     if n <= 2 * c:
         return (1 << n) - 1 if n > c else None
-    # walk meets the nice nodes over c with no child over c in post-order and
-    # keeps the first of the deepest; a forget node covers what its child does
-    best = [-1, 0, ()]  # depth, cover, its children's covers
-
-    def chain(acc: int, add: int, depth: int, kids: tuple) -> None:
-        """Meets the first node over c of a chain adding add's vertices to
-        acc in ascending order, its first node at depth with children kids."""
-        while add:
-            low = add & -add
-            add ^= low
-            if (acc | low).bit_count() > c:
+    ch, order = tree
+    top = [0] * len(bags)  # the depth of the top of each node's nice subtree
+    for x in reversed(order):
+        d = top[x] + len(ch[x])
+        for i, k in enumerate(ch[x]):
+            top[k] = d - (i or 1) + (bags[k] ^ bags[x]).bit_count()
+    # the candidates, nice nodes over c with no child over c, come in
+    # _nice_form's creation order and the first of the deepest wins: x's leaf
+    # chain or joins, then x's block; a forget node covers what its child does
+    cover, best = [bag | bd for bag in bags], (-1, 0, ())  # depth, cover, its children's covers
+    for x in order:
+        bag, kids, below = bags[x], ch[x], cover[x]
+        if len(kids) > 1:  # the first join over c, unless a block top before it is over c
+            tops = [cover[k] | bag for k in kids]
+            hit = _first_over(tops[0], tops[1:], c)
+            if hit:
+                j, acc, y = hit
+                depth = top[x] + len(kids) - 2 - j
+                if depth > best[0] and acc.bit_count() <= c and tops[j + 1].bit_count() <= c:
+                    best = depth, y, (acc, tops[j + 1])
+        elif not kids and below.bit_count() > c:  # the leaf of the lowest vertex, then introduces
+            parts = [1 << v for v in _bits(bag)] or [0]
+            j, acc, y = _first_over(bd, parts, c)
+            depth = top[x] + len(parts) - 1 - j
+            if depth > best[0]:
+                best = depth, y, (acc,) if j else ()
+        p = parent[x]
+        if p is not None:
+            cover[p] |= below
+            if below.bit_count() <= c < (below | bags[p]).bit_count():
+                # the block's introduce chain, above its forget chain
+                j, acc, y = _first_over(below, [1 << v for v in _bits(bags[p] & ~bag)], c)
+                depth = top[x] - (bag & ~bags[p]).bit_count() - 1 - j
                 if depth > best[0]:
-                    best[:] = depth, acc | low, kids
-                return
-            acc |= low
-            kids, depth = (acc,), depth - 1
-
-    def walk(x: int, d: int) -> int:
-        """Meets the candidates in x's nice subtree, whose top is at depth
-        d, and returns x's cover."""
-        bag, kids = bags[x], ch[x]
-        cover = bag | bd
-        if not kids:
-            if cover.bit_count() > c:
-                if bag:
-                    chain(bd, bag, d + bag.bit_count() - 1, ())
-                elif d > best[0]:
-                    best[:] = d, bd, ()
-            return cover
-        tops, top = [], d + len(kids) - 1  # the depth of the next block's top
-        for k in kids:
-            below = walk(k, top + (bags[k] ^ bag).bit_count())
-            if below.bit_count() <= c < (below | bag).bit_count():
-                add = bag & ~bags[k]
-                chain(below, add, top + add.bit_count() - 1, (below,))
-            tops.append(below | bag)
-            top -= len(tops) > 1
-        if len(tops) > 1:
-            join(tops, d + len(tops) - 1)
-        for t in tops:
-            cover |= t
-        return cover
-
-    def join(tops: list[int], depth: int) -> None:
-        """The first join over c of the block tops, the first join being at
-        depth - 1, unless a block top before it is already over c."""
-        acc = tops[0]
-        for t in tops[1:]:
-            depth -= 1
-            if acc.bit_count() > c or t.bit_count() > c:
-                return
-            if (acc | t).bit_count() > c:
-                if depth > best[0]:
-                    best[:] = depth, acc | t, (acc, t)
-                return
-            acc |= t
-
-    walk(parent.index(None), 0)
+                    best = depth, y, (acc,)
     depth, y, kids = best
     if any(k.bit_count() > c for k in kids):
         raise AssertionError("chosen node is not deepest")

@@ -19,9 +19,10 @@ class TreeDecomposition:
     bags: tuple
 
 
-def validate_masks(adj, parent, bags: list[int]) -> tuple[list[str], list | None]:
+def validate_masks(adj, parent, bags: list[int]) -> tuple[list[str], tuple | None]:
     """validate's checks on adjacency masks, parent links and bag masks: the
-    messages, and the ascending child lists once the links form a tree."""
+    messages, and once the links form a tree, its ascending child lists and
+    a post-order that visits each node's children in ascending order."""
     n_nodes = len(bags)
     if len(parent) != n_nodes:
         return ["parent/bag arrays differ in length"], None
@@ -35,12 +36,15 @@ def validate_masks(adj, parent, bags: list[int]) -> tuple[list[str], list | None
     for i, p in enumerate(parent):
         if p is not None:
             ch[p].append(i)
-    # a search from the root meets each node at most once; the rest lie on cycles
-    reached = roots
-    for u in reached:
-        reached.extend(ch[u])
-    if len(reached) < n_nodes:
-        return [f"cycle in parent links through node {min(set(range(n_nodes)) - set(reached))}"], None
+    # a search from the root meets each node at most once; the rest lie on
+    # cycles.  It pops the last child first, so its reverse is the post-order
+    order, stack = [], roots
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack += ch[u]
+    if len(order) < n_nodes:
+        return [f"cycle in parent links through node {min(set(range(n_nodes)) - set(order))}"], None
     # in a tree, the nodes holding v are connected iff exactly one of them is
     # the root or has a parent without v
     n = len(adj)
@@ -64,14 +68,15 @@ def validate_masks(adj, parent, bags: list[int]) -> tuple[list[str], list | None
     for u, (a, b) in enumerate(zip(adj, near)):
         if a & ~b:
             out += [f"edge ({u},{v}) not contained in any bag" for v in _bits(a & ~b & -(2 << u))]
-    return out, ch
+    order.reverse()
+    return out, (ch, order)
 
 
 def validate(td: TreeDecomposition) -> list[str]:
     """Empty list iff td is a valid tree decomposition of td.graph."""
     masks = [sum(1 << v for v in bag if v >= 0) for bag in td.bags]  # masks hold no negative vertex
-    out, ch = validate_masks(td.graph.adj_masks, td.parent, masks)
-    if ch is not None:  # the tree checks passed, so report those vertices first
+    out, tree = validate_masks(td.graph.adj_masks, td.parent, masks)
+    if tree is not None:  # the tree checks passed, so report those vertices first
         out[:0] = [f"bag vertex {v} outside the host graph" for bag in td.bags for v in bag if v < 0]
     return out
 
@@ -231,26 +236,33 @@ def _nice_form(adj, parent, bags: list[int]) -> tuple[list, list[int]]:
     """make_nice on masks: the nice form's parent links and bag masks, for a
     decomposition that validate_masks accepts (else ValueError).
 
-    A node is created after all of its descendants, so node ids are a
-    post-order and the root is the last node.  Forget and introduce chains
-    each go in ascending vertex order.  make_nice and partition_protrusion
-    build it; protrusion._window walks this layout without building it.
+    One loop over validate_masks' post-order creates, at each node x, a leaf
+    of x's lowest vertex and an introduce chain if x is a leaf, else left-deep
+    joins of its children's blocks; then x's block: chains forgetting x's bag
+    minus its parent's and introducing the converse.  So node ids are a
+    post-order and the root is the last node; chains go in ascending vertex
+    order.  make_nice and partition_protrusion build it; protrusion._window
+    walks this layout without building it.
     """
-    bad, ch = validate_masks(adj, parent, bags)
+    bad, tree = validate_masks(adj, parent, bags)
     if bad:
         raise ValueError("invalid tree decomposition: " + "; ".join(bad))
-    nice_parent, nice_bags = [], []
-
-    def add(bag: int, *children: int) -> int:
-        for c in children:
-            nice_parent[c] = len(nice_bags)
-        nice_parent.append(None)
-        nice_bags.append(bag)
-        return len(nice_bags) - 1
-
-    def transition(node: int, target: int) -> int:
-        cur = nice_bags[node]
-        for change in (cur & ~target, target & ~cur):
+    (ch, order), nice_parent, nice_bags = tree, [], []
+    top = [0] * len(bags)  # the nice node topping each node's block
+    for x in order:
+        bag, kids = bags[x], ch[x]
+        if kids:  # left-deep joins of the children's blocks
+            node, cur = top[kids[0]], bag
+            for k in kids[1:]:
+                nice_parent[node] = nice_parent[top[k]] = node = len(nice_bags)
+                nice_parent.append(None)
+                nice_bags.append(bag)
+        else:  # a leaf of the lowest vertex, then introduce the rest
+            node, cur = len(nice_bags), bag & -bag
+            nice_parent.append(None)
+            nice_bags.append(cur)
+        target = bag if parent[x] is None else bags[parent[x]]
+        for change in (bag & ~cur, bag & ~target, target & ~bag):
             while change:
                 low = change & -change
                 change ^= low
@@ -258,17 +270,7 @@ def _nice_form(adj, parent, bags: list[int]) -> tuple[list, list[int]]:
                 nice_parent[node] = node = len(nice_bags)
                 nice_parent.append(None)
                 nice_bags.append(cur)
-        return node
-
-    def build(node: int) -> int:
-        bag = bags[node]
-        # a leaf of the lowest vertex, then introduce the rest
-        tops = [transition(build(k), bag) for k in ch[node]] or [transition(add(bag & -bag), bag)]
-        for other in tops[1:]:
-            tops[0] = add(bag, tops[0], other)
-        return tops[0]
-
-    build(parent.index(None))
+        top[x] = node
     return nice_parent, nice_bags
 
 

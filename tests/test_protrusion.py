@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -12,6 +13,7 @@ from protkern import protrusion, treewidth
 from protkern.boundaried import boundary_of
 from protkern.graph import Graph, connected_components, generate, induced_subgraph, parse_family
 from protkern.protrusion import (
+    Protrusion,
     _mark_nodes,
     _window,
     compute_xr,
@@ -29,7 +31,16 @@ from protkern.treewidth import (
     validate,
     validate_masks,
 )
-from reference import children, reference_mark_nodes, reference_window, root, width, xr_protrusion
+from reference import (
+    children,
+    nice_kinds,
+    reference_mark_nodes,
+    reference_window,
+    root,
+    validate_nice,
+    width,
+    xr_protrusion,
+)
 from test_acceptance import _marked_protrusion, _random_protrusion_host
 
 
@@ -431,6 +442,104 @@ class TestWindowReference:
         for adj, parent, bags, bd in random_witnesses(1, 500):
             h.update(repr([_window(adj, parent, bags, bd, c) for c in range(1, 7)]).encode())
         assert h.hexdigest() == "e8ced95ffe045fb82b6198ebba4a262a90e2cdcfc7d1846918efe3e573629049"
+
+
+def post_order(ch, x: int) -> list[int]:
+    """x's subtree, each node after its children and children ascending."""
+    return [u for k in ch[x] for u in post_order(ch, k)] + [x]
+
+
+def forms_tree(links) -> bool:
+    """Whether parent links have one root, stay in range and reach the root
+    from every node."""
+    n = len(links)
+    if links.count(None) != 1 or any(p is not None and not 0 <= p < n for p in links):
+        return False
+    for u in range(n):
+        for _ in range(n):
+            if links[u] is None:
+                break
+            u = links[u]
+        else:
+            return False
+    return True
+
+
+class TestValidateMasksOrder:
+    def test_post_order_of_certificates(self):
+        for adj, parent, bags, _ in random_witnesses(3, 500):
+            bad, (ch, order) = validate_masks(adj, parent, bags)
+            assert bad == []
+            assert ch == [[u for u, p in enumerate(parent) if p == x] for x in range(len(bags))]
+            assert order == post_order(ch, parent.index(None))
+
+    def test_no_tree_for_broken_links(self):
+        rng, broken = random.Random(3), 0
+        for adj, parent, bags, _ in random_witnesses(4, 500):
+            links = list(parent)
+            n = len(links)
+            links[rng.randrange(n)] = rng.choice([None, n, rng.randrange(n)])
+            bad, tree = validate_masks(adj, links, bags)
+            if forms_tree(links):
+                assert tree[1] == post_order(tree[0], links.index(None))
+            else:
+                assert bad and tree is None
+                broken += 1
+        assert broken > 100
+
+
+DEEP = 5000
+
+
+def deep_witness(family: str) -> tuple[Graph, Protrusion]:
+    """A graph of the family and the protrusion of all its vertices at t = 1,
+    whose witness is deeper than the interpreter's recursion limit."""
+    if family == "caterpillar":  # a spine with a pendant leaf per vertex
+        half = DEEP // 2
+        spine = [(i, i + 1) for i in range(half - 1)]
+        g = Graph.from_edges(DEEP, spine + [(i, half + i) for i in range(half)])
+    else:
+        g = generate(parse_family(f"path:{DEEP}"))
+    p = is_protrusion(g, range(g.n), 1, vertex_cap=g.n)
+    parent, u, depth = p.witness.parent, 0, 0  # node 0 holds the first vertex eliminated
+    while parent[u] is not None:
+        u, depth = parent[u], depth + 1
+    assert depth > sys.getrecursionlimit()
+    return g, p
+
+
+class TestDeepWitnesses:
+    """The window, the nice form and the partition at the default recursion
+    limit, on witnesses deeper than it."""
+
+    def test_split_long_path(self):
+        g = generate(parse_family("path:1500"))
+        p = is_protrusion(g, range(g.n), 1, vertex_cap=2000)
+        assert split_protrusion(p, 5) == frozenset(range(6))
+
+    @pytest.mark.parametrize("family", ["path", "caterpillar"])
+    def test_window_matches_reference(self, family):
+        g, p = deep_witness(family)
+        w, adj = p.witness, g.adj_masks
+        bags = [sum(1 << v for v in bag) for bag in w.bags]
+        for bd in (0, (1 << g.n // 2) | (1 << g.n - 1)):  # no boundary, or two far-apart vertices
+            for c in range(1, 7):
+                y = _window(adj, w.parent, bags, bd, c)
+                assert y == reference_window(adj, w.parent, bags, bd, c)
+                assert y is None or c < y.bit_count() <= 2 * c
+
+    def test_make_nice(self):
+        _, p = deep_witness("path")
+        nice = make_nice(p.witness)
+        assert validate(nice) == []
+        assert validate_nice(nice, nice_kinds(nice.parent, nice.bags)) == []
+
+    def test_partition_one_mark(self):
+        g, p = deep_witness("path")
+        res = partition_protrusion(g, p, {DEEP // 2}, vertex_cap=g.n)
+        assert frozenset().union(*(q.X for q in res.parts)) == p.X
+        assert all(DEEP // 2 not in q.X or DEEP // 2 in q.boundary for q in res.parts)
+        assert all(len(q.boundary) <= 4 * p.t + 2 for q in res.parts)
 
 
 class TestSplitProtrusionReference:

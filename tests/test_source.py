@@ -43,3 +43,22 @@ def test_traced_functions_exist():
     ]
     assert missing == []
 
+
+def test_no_unbounded_recursion():
+    # a call per node of a tree decomposition overflows the interpreter's
+    # stack on deep witnesses; only these searches, bounded by a cap or by
+    # the size of a small input, call themselves
+    found = sorted(
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == node.name
+            for call in ast.walk(node)
+        )
+    )
+    assert found == sorted([
+        "parse_family", "generate", "_min_short_cycle_transversal", "_matchings", "go", "go",
+        "link", "_emit_group", "_branch_and_bound",
+    ])
