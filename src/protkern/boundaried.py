@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CanonizationCapExceeded
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_masks, induced_subgraph
 
 CANONIZATION_CAP = 10
 
@@ -89,13 +89,6 @@ def glue(g1: BoundariedGraph, g2: BoundariedGraph) -> GlueResult:
     return GlueResult(Graph._derived(nxt, frozenset(edges)), heir1, heir2)
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    g_x: BoundariedGraph  # G[X], bd[i] carrying label i + 1
-    to_x: dict[int, int]  # host vertex -> vertex of g_x
-    bd: tuple[int, ...]  # the host boundary bd(X), ascending
-
-
 def boundary_of(g: Graph, S) -> frozenset[int]:
     """Vertices of S with at least one neighbor outside S."""
     S, inside = set(S), 0
@@ -107,30 +100,42 @@ def boundary_of(g: Graph, S) -> frozenset[int]:
     return frozenset(v for v in S if masks[v] & ~inside)
 
 
-def split(g: Graph, X) -> SplitResult:
-    """The window side of g cut at the boundary of X: G[X] with boundary
-    labels 1..|bd(X)| assigned in ascending host vertex id order.  `splice`
-    glues a replacement onto the rest of g."""
-    bd = tuple(sorted(boundary_of(g, X)))
+def split(g: Graph, X) -> BoundariedGraph:
+    """The window side of g cut at the boundary of X: G[X], vertex i being
+    the i-th smallest of X, with boundary labels 1..|bd(X)| assigned in
+    ascending host vertex id order.  `splice` glues a replacement onto the
+    rest of g."""
+    bd = sorted(boundary_of(g, X))
     gx, to_x = induced_subgraph(g, X)
-    labels = tuple(range(1, len(bd) + 1))
-    return SplitResult(BoundariedGraph(gx, tuple(to_x[v] for v in bd), labels), to_x, bd)
+    return BoundariedGraph(gx, tuple(to_x[v] for v in bd), tuple(range(1, len(bd) + 1)))
 
 
-def splice(g: Graph, sr: SplitResult, j: BoundariedGraph) -> Graph:
+def window_key(g: Graph, X) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """split(g, X)'s content on masks, without building it: the adjacency
+    masks of its graph and its boundary, the vertex of label l at position
+    l - 1."""
+    host, ids = g.adj_masks, sorted(X)
+    masks = induced_masks(host, {v: i for i, v in enumerate(ids)})
+    # a vertex of X has a neighbor outside X iff it has fewer in G[X]
+    bd = tuple(i for i, v in enumerate(ids) if host[v].bit_count() > masks[i].bit_count())
+    return tuple(masks), bd
+
+
+def splice(g: Graph, X, bd: tuple[int, ...], j: BoundariedGraph) -> Graph:
     """glue(j, rest).graph in one pass over g, with its adjacency masks, where
-    rest is g induced on V - X plus bd(X), labelled as sr's window.
+    rest is g induced on V - X plus bd, bd being bd(X) in ascending order and
+    its i-th vertex carrying label i + 1, as `split` labels the window.
 
     j's vertices come first; the host boundary vertex with label l becomes
     j's vertex with label l, and the other vertices outside X follow in
-    ascending host order.  j must carry labels 1..|bd(X)|.
+    ascending host order.  j must carry labels 1..|bd|.
     """
     new = [-1] * g.n  # -1 on the interior of X
-    for label, v in enumerate(sr.bd, 1):
+    for label, v in enumerate(bd, 1):
         new[v] = j.vertex_of_label(label)
     n = j.graph.n
     for v in range(g.n):
-        if v not in sr.to_x:
+        if v not in X:
             new[v] = n
             n += 1
     edges = set(j.graph.edges)

@@ -5,12 +5,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .boundaried import split
+from .boundaried import split, window_key
 from .errors import CanonizationCapExceeded, OracleCapExceeded
 from .graph import Graph, articulation_points, distances_from
 from .problems import MAX, ProblemInstance, ProblemSpec, decide, sct_preprocess
 from .protrusion import compute_xr, xr_window
-from .replace import BUDGET, FOUND, RepCache, apply_replacement, find_replacement
+from .replace import BUDGET, FOUND, RepCache, apply_replacement, find_replacement, known_answer
 
 EXHAUSTIVE_SCAN_LIMIT = 64  # above this, candidate cut sets are heuristic
 SPLIT_C = 5  # windows have SPLIT_C + 1 to 2 * SPLIT_C vertices
@@ -98,6 +98,8 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
         return inst, log
 
     cache = RepCache(cfg.cache_path) if cfg.cache_path else None
+    if inst.k >= 0 and inst.graph.n < cfg.size_threshold:
+        return inst, log  # as the loop's first test would, before its state is built
     warned: set[str] = set()
 
     def warn(text: str):
@@ -122,20 +124,23 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
             y = xr_window(inst.graph, Rset, xr, SPLIT_C)
             if y is None:
                 continue
-            sr = split(inst.graph, y)
-            b = sr.g_x
+            # a window the table has met is answered from its masks, unbuilt
+            key = window_key(inst.graph, y)
             try:
-                res = find_replacement(spec, b, cache=cache, budget=ENUM_BUDGET, t=cfg.t)
+                res = known_answer(spec, key, cache, ENUM_BUDGET, cfg.t)
+                if res is None:
+                    b = split(inst.graph, y)
+                    res = find_replacement(spec, b, cache=cache, budget=ENUM_BUDGET, t=cfg.t)
             except (CanonizationCapExceeded, OracleCapExceeded):
                 continue
             if res.status == FOUND:
-                before = inst
-                inst = apply_replacement(inst, sr, res.j, res.c)
+                before, ids = inst, sorted(y)
+                inst = apply_replacement(inst, y, tuple(ids[i] for i in key[1]), res.j, res.c)
                 log.steps.append(
                     {
                         "R": sorted(Rset),
                         "xr_size": len(xr.X),
-                        "Y": sorted(y),
+                        "Y": ids,
                         "replacement": {"n": res.j.graph.n, "m": res.j.graph.m},
                         "c": res.c,
                         "n_before": before.graph.n,
@@ -147,7 +152,7 @@ def meta_kernelize(inst: ProblemInstance, cfg: EngineConfig):
                 fired = True
                 break
             if res.status == BUDGET:
-                warn(f"replacement search for a {b.graph.n}-vertex window hit the budget")
+                warn(f"replacement search for a {len(y)}-vertex window hit the budget")
         if not fired:
             return inst, log
 

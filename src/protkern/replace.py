@@ -6,7 +6,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .boundaried import BoundariedGraph, ClassCursor, SplitResult, canonical_code, edge_mask, from_mask, splice
+from .boundaried import BoundariedGraph, ClassCursor, canonical_code, edge_mask, from_mask, splice
 from .errors import OracleCapExceeded
 from .graph import Graph
 from .problems import ProblemInstance, ProblemSpec, compute_signature
@@ -98,13 +98,15 @@ class _View:
 
 
 # The table of representatives: one class cursor per (|B|, boundary subgraph),
-# shared by every problem, one view per (spec, t) on it, and the canonical
-# code of each raw window met.  It lives for the process, so later
-# kernelizations reuse the classes, signatures, codes and window answers
+# shared by every problem, one view per (spec, t) and boundary subgraph on it,
+# and the canonical code of each raw window met.  It lives for the process, so
+# later kernelizations reuse the classes, signatures, codes and window answers
 # earlier ones took.  Not thread-safe.
 _CURSORS: dict[tuple[int, frozenset], ClassCursor] = {}
-_VIEWS: dict[tuple, _View] = {}
-_CODES: dict[tuple, bytes] = {}  # raw window (n, edges, boundary, labels) -> canonical code
+_VIEWS: dict[tuple, _View] = {}  # (spec, t, |B|, edge_mask(bsg)) -> view
+# raw window (adjacency masks, boundary in label order) -> (canonical code,
+# vertex count and edge_mask of its boundary subgraph)
+_CODES: dict[tuple, tuple[bytes, int, int]] = {}
 
 
 def _search(spec: ProblemSpec, t, view: _View, b: BoundariedGraph, bsg: Graph, budget):
@@ -186,6 +188,36 @@ def _from_file(spec: ProblemSpec, t, b: BoundariedGraph, bsg: Graph, text: str |
     return FindResult(FOUND, j, c) if c == sig_j.offset - sig_b.offset else None
 
 
+def _record(spec: ProblemSpec, t, nb: int, bmask: int, code: bytes, budget) -> str:
+    """The cache file key of a window with code `code` and a boundary
+    subgraph of nb vertices and edge mask bmask."""
+    return f"{spec.id}[{','.join(map(str, spec.params))}]\t{t}\t{nb} {bmask}\t{code.hex()}\t{budget}"
+
+
+def known_answer(spec: ProblemSpec, key: tuple, cache: RepCache | None, budget, t) -> FindResult | None:
+    """find_replacement's answer for the raw window with key `key` (see
+    boundaried.window_key), or None if the table cannot give it without the
+    window: when it has not met the window, or has not answered it for (spec,
+    t, budget) and the cache has not checked a file answer for it.  A
+    remembered answer is appended to the cache file as find_replacement
+    appends it, and a remembered OracleCapExceeded is raised again."""
+    entry = _CODES.get(key)
+    if entry is None:
+        return None
+    code, nb, bmask = entry
+    view = _VIEWS.get((spec, t, nb, bmask))
+    known = None if view is None else view.answers.get((code, budget))
+    if cache is not None:
+        record = _record(spec, t, nb, bmask, code, budget)
+        if known is None:
+            known = cache.checked.get(record)  # a file answer is not appended
+        else:
+            cache.put(record, _text(known))
+    if isinstance(known, str):
+        raise OracleCapExceeded(known)
+    return known
+
+
 def find_replacement(
     spec: ProblemSpec,
     b: BoundariedGraph,
@@ -199,52 +231,54 @@ def find_replacement(
     boundary subgraph pinned, taken from the process-wide table of
     representatives, which remembers it per (canonical code of b, budget); an
     OracleCapExceeded is remembered and raised again.  The table also keeps
-    each raw window's code, so a window met again is not canonized.  A window
-    the table has not answered is looked up in the cache file before it is
-    searched; file answers are checked (see _from_file) once per cache and
-    never copied into the table, and each answer of the table is appended to
-    the file once, so a file written here changes no kernel.
-    c = offset(J) - offset(B) <= 0 always.  Raises CanonizationCapExceeded
-    for b over CANONIZATION_CAP vertices.
+    each raw window's code under its adjacency masks and boundary in label
+    order, so a window met again is not canonized, and known_answer answers it
+    without the window.  A window the table has not answered is looked up in
+    the cache file before it is searched; file answers are checked (see
+    _from_file) once per cache and never copied into the table, and each
+    answer of the table is appended to the file once, so a file written here
+    changes no kernel.  c = offset(J) - offset(B) <= 0 always.  Raises
+    CanonizationCapExceeded for b over CANONIZATION_CAP vertices.
     """
     if tuple(sorted(b.labels)) != tuple(range(1, len(b.labels) + 1)):
         raise ValueError("boundary labels must be 1..|boundary|")
-    raw = (b.graph.n, b.graph.edges, b.boundary, b.labels)
-    code = _CODES.get(raw) or _CODES.setdefault(raw, canonical_code(b))
+    key = (b.graph.adj_masks, tuple(v for _, v in sorted(zip(b.labels, b.boundary))))
     bsg = b.boundary_subgraph()
-    at = (spec, t, bsg.n, bsg.edges)
+    if key not in _CODES:
+        _CODES[key] = (canonical_code(b), bsg.n, edge_mask(bsg))
+    known = known_answer(spec, key, cache, budget, t)
+    if known is not None:
+        return known
+    code, nb, bmask = _CODES[key]
+    at = (spec, t, nb, bmask)
     view = _VIEWS.get(at) or _VIEWS.setdefault(at, _View())
-    known = view.answers.get((code, budget))
-    key = None
-    if cache is not None:
-        params = ",".join(map(str, spec.params))
-        key = f"{spec.id}[{params}]\t{t}\t{bsg.n} {edge_mask(bsg)}\t{code.hex()}\t{budget}"
-    if known is None and key is not None:
-        known = cache.checked.get(key) or _from_file(spec, t, b, bsg, cache.data.get(key))
+    record = None if cache is None else _record(spec, t, nb, bmask, code, budget)
+    if record is not None:
+        known = _from_file(spec, t, b, bsg, cache.data.get(record))
         if known is not None:
-            cache.checked[key] = known
-            key = None  # a file answer is neither kept in the table nor appended
+            cache.checked[record] = known
+            record = None  # a file answer is neither kept in the table nor appended
     if known is None:
         known = view.answers[code, budget] = _search(spec, t, view, b, bsg, budget)
-    if key is not None:
-        cache.put(key, _text(known))
+    if record is not None:
+        cache.put(record, _text(known))
     if isinstance(known, str):
         raise OracleCapExceeded(known)
     return known
 
 
 def apply_replacement(
-    inst: ProblemInstance, sr: SplitResult, j: BoundariedGraph, c: int
+    inst: ProblemInstance, X, bd: tuple[int, ...], j: BoundariedGraph, c: int
 ) -> ProblemInstance:
-    """Splice j into inst.graph in place of sr's window (see splice), and
-    shift k by c."""
+    """Splice j into inst.graph in place of G[X], bd being bd(X) in ascending
+    order (see splice), and shift k by c."""
     if c > 0:
         raise ValueError("transposition constant must be nonpositive")
-    if j.label_set != sr.g_x.label_set:
+    if j.label_set != frozenset(range(1, len(bd) + 1)):
         raise ValueError("replacement label set does not match the cut boundary")
-    if j.graph.n >= sr.g_x.graph.n:
+    if j.graph.n >= len(X):
         raise ValueError("replacement is not strictly smaller")
-    out = ProblemInstance(splice(inst.graph, sr, j), inst.k + c, inst.spec)
+    out = ProblemInstance(splice(inst.graph, X, bd, j), inst.k + c, inst.spec)
     if out.graph.n >= inst.graph.n:
         raise AssertionError("replacement did not shrink the graph")
     return out

@@ -13,6 +13,7 @@ from protkern.boundaried import (
     glue,
     splice,
     split,
+    window_key,
 )
 from protkern.errors import CanonizationCapExceeded
 from protkern.graph import Graph, connected_components, induced_subgraph
@@ -86,10 +87,11 @@ class TestSplit:
         # splicing the window back in glues it onto the rest of the host
         g, x = gx
         res = split(g, x)
-        out = splice(g, res, res.g_x)
-        # window vertices keep their g_x ids; the rest follow in host order
+        out = splice(g, x, tuple(sorted(boundary_of(g, x))), res)
+        # window vertices keep their ids in the window; the rest follow in host order
         rest = [v for v in range(g.n) if v not in x]
-        fwd = {**res.to_x, **{v: res.g_x.graph.n + i for i, v in enumerate(rest)}}
+        to_x = {v: i for i, v in enumerate(sorted(x))}
+        fwd = {**to_x, **{v: res.graph.n + i for i, v in enumerate(rest)}}
         assert out.n == g.n
         rebuilt = frozenset(
             (min(fwd[u], fwd[v]), max(fwd[u], fwd[v])) for u, v in g.edges
@@ -101,8 +103,18 @@ class TestSplit:
         res = split(g, {1, 2, 3})
         bd = sorted(boundary_of(g, {1, 2, 3}))
         assert bd == [1, 3]
-        assert res.g_x.labels == (1, 2)
-        assert [res.to_x[v] for v in bd] == list(res.g_x.boundary)
+        assert res.labels == (1, 2)
+        assert res.boundary == (0, 2)  # vertex i of the window is the i-th smallest of X
+
+    @settings(max_examples=60, deadline=None)
+    @given(hosts)
+    def test_window_key_is_the_split_window(self, gx):
+        # the masks, vertex i the i-th smallest of X, and the boundary in label order
+        g, x = gx
+        res = split(g, x)
+        assert res.labels == tuple(range(1, len(res.boundary) + 1))
+        masks = Graph.from_edges(res.graph.n, res.graph.edges).adj_masks
+        assert window_key(g, x) == (masks, res.boundary)
 
     def test_boundary_of(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -111,32 +123,32 @@ class TestSplit:
         assert boundary_of(g, {0, 1, 2, 3}) == frozenset()
 
 
-def remainder(g, res):
-    """The rest of g outside split result res's window, labelled like it."""
-    rest = set(range(g.n)) - set(res.to_x) | set(res.bd)
-    gr, to_r = induced_subgraph(g, rest)
-    return BoundariedGraph(gr, tuple(to_r[v] for v in res.bd), res.g_x.labels)
+def remainder(g, x):
+    """The rest of g outside X, labelled like split(g, X)."""
+    bd = sorted(boundary_of(g, x))
+    gr, to_r = induced_subgraph(g, set(range(g.n)) - set(x) | set(bd))
+    return BoundariedGraph(gr, tuple(to_r[v] for v in bd), tuple(range(1, len(bd) + 1)))
 
 
 @st.composite
 def splice_cases(draw):
     g, x = draw(hosts)
     res = split(g, x)
-    labels = len(res.bd)
+    labels = len(res.boundary)
     n = draw(st.integers(min_value=labels, max_value=labels + 3))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     boundary = draw(st.permutations(range(n)))[:labels]
-    j = BoundariedGraph(Graph.from_edges(n, edges), tuple(boundary), res.g_x.labels)
-    return g, res, j
+    j = BoundariedGraph(Graph.from_edges(n, edges), tuple(boundary), res.labels)
+    return g, x, j
 
 
 class TestSplice:
-    """splice(g, split(g, X), j) is glue(j, rest of g) with its masks seeded."""
+    """splice(g, X, bd(X), j) is glue(j, rest of g) with its masks seeded."""
 
-    def check(self, g, res, j):
-        out = splice(g, res, j)
-        want = glue(j, remainder(g, res)).graph
+    def check(self, g, x, j):
+        out = splice(g, x, tuple(sorted(boundary_of(g, x))), j)
+        want = glue(j, remainder(g, x)).graph
         assert (out.n, out.edges) == (want.n, want.edges)
         assert out == Graph(want.n, want.edges) and hash(out) == hash(want)
         assert "adj_masks" in out.__dict__
@@ -151,25 +163,22 @@ class TestSplice:
     def test_boundary_edges_on_both_sides(self):
         # the boundary pair 1-3 is adjacent in the host and in j
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (4, 5)])
-        res = split(g, {1, 2, 3})
-        assert res.bd == (1, 3) and res.g_x.boundary_subgraph().m == 1
+        assert boundary_of(g, {1, 2, 3}) == {1, 3} and split(g, {1, 2, 3}).boundary_subgraph().m == 1
         j = BoundariedGraph(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), (2, 0), (1, 2))
-        out = self.check(g, res, j)
+        out = self.check(g, {1, 2, 3}, j)
         assert out.n == 6 and (0, 2) in out.edges
 
     def test_disconnected_remainder(self):
         g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
-        res = split(g, {1, 2, 3})
-        assert len(connected_components(remainder(g, res).graph)) == 3
+        assert len(connected_components(remainder(g, {1, 2, 3}).graph)) == 3
         j = BoundariedGraph(Graph.from_edges(3, [(0, 2), (1, 2)]), (0, 1), (1, 2))
-        out = self.check(g, res, j)
+        out = self.check(g, {1, 2, 3}, j)
         assert [sorted(c) for c in connected_components(out)] == [[0, 1, 2, 3, 4], [5, 6]]
 
     def test_empty_interior_in_j(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-        res = split(g, {1, 2, 3, 4})
         j = BoundariedGraph(Graph.from_edges(2, [(0, 1)]), (1, 0), (1, 2))
-        out = self.check(g, res, j)
+        out = self.check(g, {1, 2, 3, 4}, j)
         assert out.n == 4 and out.edges == frozenset({(0, 1), (1, 2), (0, 3)})
 
 

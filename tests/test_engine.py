@@ -9,7 +9,8 @@ from functools import cached_property
 import pytest
 
 from protkern import boundaried, engine, protrusion, replace, treewidth
-from protkern.boundaried import canonical_code
+from protkern.boundaried import canonical_code, split
+from protkern.errors import OracleCapExceeded
 from protkern.engine import (
     EngineConfig,
     meta_kernelize,
@@ -24,7 +25,7 @@ from protkern.problems import (
     decide,
     get_problem,
 )
-from protkern.replace import find_replacement
+from protkern.replace import BUDGET, find_replacement, known_answer
 
 VC = get_problem("vc")
 DS = get_problem("ds")
@@ -33,6 +34,18 @@ DS = get_problem("ds")
 def cfg(**kw):
     kw.setdefault("t", 1)
     return EngineConfig(**kw)
+
+
+def record_keys(monkeypatch) -> list:
+    """The key of each window the engine meets, in order."""
+    keys, key_of = [], engine.window_key
+
+    def recorded(g, y):
+        keys.append(key_of(g, y))
+        return keys[-1]
+
+    monkeypatch.setattr(engine, "window_key", recorded)
+    return keys
 
 
 def fresh_table(monkeypatch):
@@ -277,7 +290,7 @@ class TestDriverLoop:
 
     def test_window_codes_are_remembered(self, monkeypatch, tmp_path):
         fresh_table(monkeypatch)
-        windows = []
+        windows, keys = [], record_keys(monkeypatch)
 
         def recorded(spec, b, **kwargs):
             windows.append(b)
@@ -299,10 +312,11 @@ class TestDriverLoop:
             return outs
 
         first = kernelize_all()
-        assert len(windows) > len(replace._CODES) > 0
+        # each raw window is canonized once, under its masks and boundary; one
+        # met again is built only for a problem the table has not answered it for
+        assert len(keys) > len(windows) > len(replace._CODES) == len(set(keys)) > 0
         for b in windows:
-            raw = (b.graph.n, b.graph.edges, b.boundary, b.labels)
-            assert replace._CODES[raw] == canonical_code(b)
+            assert replace._CODES[b.graph.adj_masks, b.boundary][0] == canonical_code(b)
         records = path.read_text().splitlines()[1:]
         assert {r.split("\t")[3] for r in records} == {canonical_code(b).hex() for b in windows}
         canonized = []
@@ -313,8 +327,30 @@ class TestDriverLoop:
 
         monkeypatch.setattr(replace, "canonical_code", counted)
         windows.clear()
+        keys.clear()
         assert kernelize_all() == first
-        assert windows and canonized == []
+        assert keys and windows == [] and canonized == []
+
+    def test_budget_warning_for_a_window_met_again(self, monkeypatch):
+        # at a budget of one raw candidate the path's windows hit the budget,
+        # and the table answers the repeated ones without building them
+        fresh_table(monkeypatch)
+        monkeypatch.setattr(engine, "ENUM_BUDGET", 1)
+        keys, met = record_keys(monkeypatch), []
+
+        def remembered(*args):
+            res = known_answer(*args)
+            met.append(res)
+            return res
+
+        monkeypatch.setattr(engine, "known_answer", remembered)
+        out, log = meta_kernelize(ProblemInstance(generate(parse_family("path:40")), 20, VC), cfg())
+        assert (out.graph.n, out.k, len(log.steps)) == (24, 12, 4)
+        assert any(res is not None and res.status == BUDGET for res in met)
+        assert len(keys) == 62 and len(set(keys)) == 12
+        assert log.warnings == [
+            f"component of size {n} skipped: too large for exact treewidth" for n in range(39, 32, -1)
+        ] + ["replacement search for a 6-vertex window hit the budget"]
 
     def test_path_decides_treewidth_for_fewer_cut_sets(self, monkeypatch):
         calls = count_treewidth_calls(monkeypatch)
@@ -414,7 +450,7 @@ class TestSpliceLoop:
     def test_shuffled_path(self, monkeypatch):
         fresh_table(monkeypatch)
         g = shuffled_family("path:200", 5)
-        validated, adj_built, cut = [], [], []
+        validated, adj_built, cut, keys = [], [], [], record_keys(monkeypatch)
         post_init, adj, induced = Graph.__post_init__, Graph.adj.func, boundaried.induced_subgraph
 
         def counted_adj(h):
@@ -437,8 +473,10 @@ class TestSpliceLoop:
         assert len(log.steps) > 50 and out.graph.n < 30
         assert validated == [inst.graph]
         assert adj_built == [] and "adj" not in out.graph.__dict__
-        # split cuts out the window only, never the rest of the graph
-        assert len(cut) == len(log.steps) and max(cut) <= 2 * engine.SPLIT_C
+        # split cuts out each raw window once, when the table first meets it,
+        # and never the rest of the graph
+        assert len(keys) == len(log.steps) > len(cut) == len(set(keys))
+        assert max(cut) <= 2 * engine.SPLIT_C
 
 
 class TestWindowLoop:
@@ -461,8 +499,9 @@ class TestWindowLoop:
 
     @pytest.mark.parametrize("kind,pid", RUNS)
     def test_loop_shape(self, monkeypatch, kind, pid):
-        calls = dict.fromkeys(["xr_window", "window", "validated", "split", "induced", "td"], 0)
-        xr_window = engine.xr_window
+        fresh_table(monkeypatch)
+        calls = dict.fromkeys(["xr_window", "window", "validated", "split", "induced", "td", "unmet"], 0)
+        xr_window, keys = engine.xr_window, record_keys(monkeypatch)
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -475,10 +514,16 @@ class TestWindowLoop:
             calls["window"] += y is not None
             return y
 
+        def answer(*args):
+            res = known_answer(*args)
+            calls["unmet"] += res is None
+            return res
+
         def refuse(*args, **kwargs):
             raise AssertionError("not on the window path")
 
         monkeypatch.setattr(engine, "xr_window", window)
+        monkeypatch.setattr(engine, "known_answer", answer)
         monkeypatch.setattr(treewidth, "validate_masks", counted("validated", treewidth.validate_masks))
         monkeypatch.setattr(engine, "split", counted("split", engine.split))
         monkeypatch.setattr(boundaried, "induced_subgraph", counted("induced", boundaried.induced_subgraph))
@@ -491,9 +536,42 @@ class TestWindowLoop:
         _, log = self.run(kind, pid)
         assert calls["td"] == 0
         assert calls["validated"] == calls["xr_window"] > 0
-        assert calls["induced"] == calls["split"] == calls["window"] >= len(log.steps) > 0
+        # G[Y] is built for each window the table had not met, and only then
+        assert calls["induced"] == calls["split"] == calls["unmet"] == len(set(keys))
+        assert len(keys) == calls["window"] >= len(log.steps) > 0
         if kind == "path":
-            assert len(log.steps) > 50
+            assert len(log.steps) > 50 and calls["split"] < calls["window"]
+
+    @pytest.mark.parametrize("kind,pid", RUNS)
+    def test_key_lookup_matches_split_and_search(self, monkeypatch, kind, pid):
+        # every window's key is the content of split(g, Y), and the table's
+        # answer by key is a fresh table's find_replacement on that window
+        fresh_table(monkeypatch)
+        windows, key_of = [], engine.window_key
+        monkeypatch.setattr(engine, "window_key", lambda g, y: (windows.append((g, y)), key_of(g, y))[1])
+        self.run(kind, pid)
+        spec = VC if kind == "path" else CORPUS_SPECS[pid]
+
+        def outcome(answer, *args, **kwargs):
+            try:
+                res = answer(*args, **kwargs)
+            except OracleCapExceeded as exc:
+                return "raised", str(exc)
+            j = None if res.j is None else (res.j.graph.n, sorted(res.j.graph.edges), res.j.boundary)
+            return res.status, j, res.c
+
+        looked_up = []
+        for g, y in windows:
+            b = split(g, y)
+            assert b.labels == tuple(range(1, len(b.boundary) + 1))
+            key = key_of(g, y)
+            assert key == (Graph.from_edges(b.graph.n, b.graph.edges).adj_masks, b.boundary)
+            looked_up.append(outcome(known_answer, spec, key, None, engine.ENUM_BUDGET, 1))
+        assert windows
+        fresh_table(monkeypatch)
+        for (g, y), got in zip(windows, looked_up):
+            want = outcome(find_replacement, spec, split(g, y), budget=engine.ENUM_BUDGET, t=1)
+            assert got == want
 
     def test_invalid_certificate_raises(self, monkeypatch):
         # the first bag holds the first eliminated vertex, in no other bag

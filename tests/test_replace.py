@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protkern import boundaried, problems, replace
-from protkern.boundaried import BoundariedGraph, enumerate_boundaried, glue, split
+from protkern.boundaried import BoundariedGraph, boundary_of, enumerate_boundaried, glue, split
 from protkern.errors import CanonizationCapExceeded, OracleCapExceeded
 from protkern.graph import Graph, generate, parse_family
 from protkern.problems import (
@@ -536,7 +536,7 @@ class TestApplyReplacement:
         )
         res = find_replacement(VC, b)
         assert res.status == FOUND
-        out = apply_replacement(inst, split(inst.graph, X), res.j, res.c)
+        out = apply_replacement(inst, X, (2,), res.j, res.c)
         assert out.graph.n == 8 - (3 - res.j.graph.n)
         assert (out.k, out.spec) == (inst.k + res.c, VC)
         assert decide(out) == decide(inst)
@@ -545,19 +545,19 @@ class TestApplyReplacement:
         inst = ProblemInstance(generate(parse_family("path:4")), 1, VC)
         j = one_labelled(Graph.from_edges(1, []))
         with pytest.raises(ValueError):
-            apply_replacement(inst, split(inst.graph, {0, 1}), j, 1)
+            apply_replacement(inst, {0, 1}, (1,), j, 1)
 
     def test_rejects_label_mismatch(self):
         inst = ProblemInstance(generate(parse_family("path:6")), 1, VC)
         j = BoundariedGraph(Graph.from_edges(1, []), (0,), (2,))
         with pytest.raises(ValueError):
-            apply_replacement(inst, split(inst.graph, {0, 1, 2}), j, 0)
+            apply_replacement(inst, {0, 1, 2}, (2,), j, 0)
 
     def test_rejects_nonshrinking(self):
         inst = ProblemInstance(generate(parse_family("path:6")), 1, VC)
         j = one_labelled(generate(parse_family("path:3")), 2)
         with pytest.raises(ValueError):
-            apply_replacement(inst, split(inst.graph, {0, 1, 2}), j, 0)
+            apply_replacement(inst, {0, 1, 2}, (2,), j, 0)
 
 
 class TestEndToEndSoundness:
@@ -567,11 +567,10 @@ class TestEndToEndSoundness:
         spec = get_problem(pid)
         g = generate(parse_family(fam))
         prefix = frozenset(range(6)) if fam != "cycle:9" else frozenset(range(1, 7))
-        sr = split(g, prefix)
-        res = find_replacement(spec, sr.g_x)
+        res = find_replacement(spec, split(g, prefix))
         if res.status != FOUND:
             pytest.skip("window irreducible for this problem")
         for k in range(g.n + 1):
             inst = ProblemInstance(g, k, spec)
-            out = apply_replacement(inst, sr, res.j, res.c)
+            out = apply_replacement(inst, prefix, tuple(sorted(boundary_of(g, prefix))), res.j, res.c)
             assert decide(out) == decide(inst)
