@@ -97,16 +97,23 @@ class _View:
     answers: dict = field(default_factory=dict)
 
 
-# The table of representatives: one class cursor per (|B|, boundary subgraph),
-# shared by every problem, one view per (spec, t) and boundary subgraph on it,
-# and the canonical code of each raw window met.  It lives for the process, so
-# later kernelizations reuse the classes, signatures, codes and window answers
-# earlier ones took.  Not thread-safe.
-_CURSORS: dict[tuple[int, frozenset], ClassCursor] = {}
-_VIEWS: dict[tuple, _View] = {}  # (spec, t, |B|, edge_mask(bsg)) -> view
-# raw window (adjacency masks, boundary in label order) -> (canonical code,
-# vertex count and edge_mask of its boundary subgraph)
-_CODES: dict[tuple, tuple[bytes, int, int]] = {}
+@dataclass
+class Table:
+    """The table of representatives: one class cursor per (|B|, boundary
+    subgraph), shared by every problem, one view per (spec, t) and boundary
+    subgraph on it, and the canonical code of each raw window met.  TABLE
+    lives for the process, so later kernelizations reuse the classes,
+    signatures, codes and window answers earlier ones took; rebinding TABLE
+    drops them.  Not thread-safe."""
+
+    cursors: dict[tuple[int, frozenset], ClassCursor] = field(default_factory=dict)
+    views: dict[tuple, _View] = field(default_factory=dict)  # (spec, t, |B|, edge_mask(bsg)) -> view
+    # raw window (adjacency masks, boundary in label order) -> (canonical
+    # code, vertex count and edge_mask of its boundary subgraph)
+    codes: dict[tuple, tuple[bytes, int, int]] = field(default_factory=dict)
+
+
+TABLE = Table()
 
 
 def _search(spec: ProblemSpec, t, view: _View, b: BoundariedGraph, bsg: Graph, budget):
@@ -121,7 +128,7 @@ def _search(spec: ProblemSpec, t, view: _View, b: BoundariedGraph, bsg: Graph, b
     if b.graph.n - 1 < len(b.labels):
         return FindResult(IRREDUCIBLE)  # nothing smaller carries the boundary
     where = (bsg.n, bsg.edges)
-    cursor = _CURSORS.get(where) or _CURSORS.setdefault(where, ClassCursor(bsg))
+    cursor = TABLE.cursors.get(where) or TABLE.cursors.setdefault(where, ClassCursor(bsg))
     total = cursor.raw_count(b.graph.n - 1)
     limit = total if budget is None else min(budget, total)
     want = sig_b.class_key()
@@ -196,16 +203,17 @@ def _record(spec: ProblemSpec, t, nb: int, bmask: int, code: bytes, budget) -> s
 
 def known_answer(spec: ProblemSpec, key: tuple, cache: RepCache | None, budget, t) -> FindResult | None:
     """find_replacement's answer for the raw window with key `key` (see
-    boundaried.window_key), or None if the table cannot give it without the
-    window: when it has not met the window, or has not answered it for (spec,
-    t, budget) and the cache has not checked a file answer for it.  A
-    remembered answer is appended to the cache file as find_replacement
-    appends it, and a remembered OracleCapExceeded is raised again."""
-    entry = _CODES.get(key)
+    boundaried.window_key), or None if the table TABLE, read at call time,
+    cannot give it without the window: when it has not met the window, or has
+    not answered it for (spec, t, budget) and the cache has not checked a
+    file answer for it.  A remembered answer is appended to the cache file
+    as find_replacement appends it, and a remembered OracleCapExceeded is
+    raised again."""
+    entry = TABLE.codes.get(key)
     if entry is None:
         return None
     code, nb, bmask = entry
-    view = _VIEWS.get((spec, t, nb, bmask))
+    view = TABLE.views.get((spec, t, nb, bmask))
     known = None if view is None else view.answers.get((code, budget))
     if cache is not None:
         record = _record(spec, t, nb, bmask, code, budget)
@@ -228,30 +236,32 @@ def find_replacement(
     """Strictly smaller graph with b's signature table and a non-larger offset.
 
     The answer is the first hit of the smallest-first enumeration with the
-    boundary subgraph pinned, taken from the process-wide table of
-    representatives, which remembers it per (canonical code of b, budget); an
-    OracleCapExceeded is remembered and raised again.  The table also keeps
-    each raw window's code under its adjacency masks and boundary in label
-    order, so a window met again is not canonized, and known_answer answers it
-    without the window.  A window the table has not answered is looked up in
-    the cache file before it is searched; file answers are checked (see
-    _from_file) once per cache and never copied into the table, and each
-    answer of the table is appended to the file once, so a file written here
-    changes no kernel.  c = offset(J) - offset(B) <= 0 always.  Raises
-    CanonizationCapExceeded for b over CANONIZATION_CAP vertices.
+    boundary subgraph pinned, taken from the table of representatives TABLE
+    (a Table, read at call time), which remembers it per (canonical code of
+    b, budget); an OracleCapExceeded is remembered and raised again.  The
+    table also keeps each raw window's code under its adjacency masks and
+    boundary in label order, so a window met again is not canonized, and
+    known_answer answers it without the window.  A window the table has not
+    answered is looked up in the cache file before it is searched; file
+    answers are checked (see _from_file) once per cache and never copied into
+    the table, and each answer of the table is appended to the file once, so
+    a file written here changes no kernel.  c = offset(J) - offset(B) <= 0
+    always.  Raises CanonizationCapExceeded for b over CANONIZATION_CAP
+    vertices.
     """
     if tuple(sorted(b.labels)) != tuple(range(1, len(b.labels) + 1)):
         raise ValueError("boundary labels must be 1..|boundary|")
     key = (b.graph.adj_masks, tuple(v for _, v in sorted(zip(b.labels, b.boundary))))
     bsg = b.boundary_subgraph()
-    if key not in _CODES:
-        _CODES[key] = (canonical_code(b), bsg.n, edge_mask(bsg))
+    codes, views = TABLE.codes, TABLE.views
+    if key not in codes:
+        codes[key] = (canonical_code(b), bsg.n, edge_mask(bsg))
     known = known_answer(spec, key, cache, budget, t)
     if known is not None:
         return known
-    code, nb, bmask = _CODES[key]
+    code, nb, bmask = codes[key]
     at = (spec, t, nb, bmask)
-    view = _VIEWS.get(at) or _VIEWS.setdefault(at, _View())
+    view = views.get(at) or views.setdefault(at, _View())
     record = None if cache is None else _record(spec, t, nb, bmask, code, budget)
     if record is not None:
         known = _from_file(spec, t, b, bsg, cache.data.get(record))

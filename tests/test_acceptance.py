@@ -11,8 +11,9 @@ from collections import defaultdict
 import networkx as nx
 import pytest
 
+from protkern import replace
 from protkern.boundaried import boundary_of, enumerate_boundaried, glue
-from protkern.engine import EngineConfig, meta_kernelize, trivial_instance
+from protkern.engine import SPLIT_C, EngineConfig, meta_kernelize, trivial_instance
 from protkern.graph import Graph, generate, induced_subgraph, parse_family
 from protkern.problems import (
     ProblemInstance,
@@ -108,6 +109,55 @@ def test_01_kernelization_preserves_decisions(corpus_runs):
     assert mismatches == 0
     assert all(c >= 500 for c in counts.values()), counts
     assert corpus_runs["wall"] < 600
+
+
+def _triangle_chain(count: int) -> Graph:
+    """count triangles, each sharing a vertex with the next: every vertex lies
+    on a triangle, so sct (s = 3) keeps the graph and can reduce it."""
+    edges = [(2 * i + a, 2 * i + b) for i in range(count) for a, b in ((0, 1), (1, 2), (0, 2))]
+    return Graph.from_edges(2 * count + 1, edges)
+
+
+# criterion 1 at t = 2 (cut sets of up to four vertices), on graphs of 12 to
+# 16 vertices and at most 20 edges, so every problem is within the oracle caps
+WIDTH_TWO_FAMILIES = [
+    ("path:12", 0), ("path:16", 0), ("cycle:13", 0),
+    ("grid:2,6", 0), ("grid:2,7", 0), ("grid:3,4", 0),
+    ("star-of-paths:3,4", 0), ("star-of-paths:5,3", 0), ("path:5+cycle:8", 0),
+    ("random-sparse:13,14", 1), ("random-sparse:15,10", 3), ("random-sparse:16,8", 4),
+]
+
+
+def test_01_at_width_two(monkeypatch):
+    graphs = [generate(parse_family(f, seed=s)) for f, s in WIDTH_TWO_FAMILIES]
+    graphs.append(_triangle_chain(6))
+    signature = replace.compute_signature
+
+    def at_most_four_sct_labels(spec, b, t):
+        # a five-label sct signature takes seconds and hundreds of MB
+        if spec.id == "sct" and len(b.labels) > 4:
+            raise AssertionError(f"sct window with {len(b.labels)} labels")
+        return signature(spec, b, t)
+
+    monkeypatch.setattr(replace, "compute_signature", at_most_four_sct_labels)
+    cfg = EngineConfig(t=2, size_threshold=11)
+    steps = {spec.id: 0 for spec in ALL_PROBLEMS}
+    mismatches = 0
+    start = time.monotonic()
+    for spec in ALL_PROBLEMS:
+        for g in graphs:
+            opt = brute_opt(spec, g)
+            for k in range(g.n + 1):
+                out, log = meta_kernelize(ProblemInstance(g, k, spec), cfg)
+                steps[spec.id] += len(log.steps)
+                want = (opt <= k) if spec.direction == "min" else (opt >= k)
+                mismatches += decide(out) != want
+    wall = time.monotonic() - start
+    report(1, mismatches == 0 and min(steps.values()) > 0,
+           f"at t = 2: {len(graphs)} graphs, steps per problem {steps}, "
+           f"{mismatches} decision mismatches, wall {wall:.0f}s")
+    assert mismatches == 0
+    assert min(steps.values()) > 0, steps
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +440,19 @@ def test_05_kernel_size_scales_linearly():
                 sizes[L] = meta_kernelize(ProblemInstance(g, k, spec), cfg)[0].graph.n
             if len(set(sizes.values())) != 1:
                 failures.append(f"{pid} k={k}: kernel varies with pendant length {sizes}")
+        # on YES instances, at k = OPT, kernels may differ by at most one
+        # window of 2 * SPLIT_C vertices
+        core = generate(parse_family("path:1"))
+        for p in (2, 10):
+            sizes = {}
+            for L in (20, 50, 100):
+                g = generate(parse_family(f"star-of-paths:{p},{L}"))
+                k = PENDANT_OPT[pid](core, p, L)
+                sizes[L] = meta_kernelize(ProblemInstance(g, k, spec), cfg)[0].graph.n
+            if max(sizes.values()) - min(sizes.values()) > 2 * SPLIT_C:
+                failures.append(
+                    f"{pid} p={p} at k = OPT: kernel varies with pendant length {sizes}"
+                )
     wall = time.monotonic() - start
     if wall >= 300:
         failures.append(f"sweeps took {wall:.0f}s, budget 300s")

@@ -48,10 +48,11 @@ def record_keys(monkeypatch) -> list:
     return keys
 
 
-def fresh_table(monkeypatch):
-    monkeypatch.setattr(replace, "_CURSORS", {})
-    monkeypatch.setattr(replace, "_VIEWS", {})
-    monkeypatch.setattr(replace, "_CODES", {})
+class Untouchable:
+    """A stand-in table of representatives whose every read fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"table read: {name}")
 
 
 def count_treewidth_calls(monkeypatch) -> dict:
@@ -167,7 +168,7 @@ class TestDriverLoop:
         path = tmp_path / "reps.tsv"
         g = generate(parse_family("star-of-paths:3,12"))
         inst = ProblemInstance(g, 4, DS)
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         first, log1 = meta_kernelize(inst, cfg(cache_path=str(path)))
         written = path.read_bytes()
         assert log1.steps and written
@@ -177,7 +178,7 @@ class TestDriverLoop:
         assert path.read_bytes() == written  # the file holds every answer
         # on a fresh table, with the file and without it
         for cache_path in (str(path), None):
-            fresh_table(monkeypatch)
+            monkeypatch.setattr(replace, "TABLE", replace.Table())
             again, log3 = meta_kernelize(inst, cfg(cache_path=cache_path))
             assert (again.graph, again.k) == (first.graph, first.k)
             assert log3.steps == log1.steps  # the file changed no kernel
@@ -187,7 +188,7 @@ class TestDriverLoop:
         # files written when the budget was a setting keyed its default, 20000,
         # so they must still answer
         path = tmp_path / "reps.tsv"
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         _, log = meta_kernelize(
             ProblemInstance(generate(parse_family("path:40")), 3, VC), cfg(cache_path=str(path))
         )
@@ -198,9 +199,9 @@ class TestDriverLoop:
     def test_file_answers_checked_once_per_run(self, tmp_path, monkeypatch):
         path = str(tmp_path / "reps.tsv")
         inst = ProblemInstance(generate(parse_family("path:360")), 180, VC)
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         first, log1 = meta_kernelize(inst, cfg(cache_path=path))
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         keys, calls = set(), []
         from_file, signature = replace._from_file, replace.compute_signature
 
@@ -220,7 +221,7 @@ class TestDriverLoop:
         assert keys and len(calls) <= 2 * len(keys)
 
     def test_windows_are_remembered(self, monkeypatch):
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         calls = []
 
         def counted(*args, **kwargs):
@@ -268,6 +269,10 @@ class TestDriverLoop:
         out, log = meta_kernelize(ProblemInstance(g, 10, VC), cfg(t=2))
         assert (out.graph, out.k, log.steps) == (g, 10, [])
         assert calls["compute_xr"] == 0 and calls["decide_tw_masks"] == 0
+        # nor does the early return touch the table of representatives
+        monkeypatch.setattr(replace, "TABLE", Untouchable())
+        out, log = meta_kernelize(ProblemInstance(g, 10, VC), cfg(t=2))
+        assert (out.graph, out.k, log.steps) == (g, 10, [])
 
     def test_graph_under_threshold_returned_at_once(self, monkeypatch, tmp_path):
         calls = count_treewidth_calls(monkeypatch)
@@ -289,7 +294,7 @@ class TestDriverLoop:
             meta_kernelize(ProblemInstance(g, 2, VC), cfg(cache_path=str(bad)))
 
     def test_window_codes_are_remembered(self, monkeypatch, tmp_path):
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         windows, keys = [], record_keys(monkeypatch)
 
         def recorded(spec, b, **kwargs):
@@ -314,9 +319,9 @@ class TestDriverLoop:
         first = kernelize_all()
         # each raw window is canonized once, under its masks and boundary; one
         # met again is built only for a problem the table has not answered it for
-        assert len(keys) > len(windows) > len(replace._CODES) == len(set(keys)) > 0
+        assert len(keys) > len(windows) > len(replace.TABLE.codes) == len(set(keys)) > 0
         for b in windows:
-            assert replace._CODES[b.graph.adj_masks, b.boundary][0] == canonical_code(b)
+            assert replace.TABLE.codes[b.graph.adj_masks, b.boundary][0] == canonical_code(b)
         records = path.read_text().splitlines()[1:]
         assert {r.split("\t")[3] for r in records} == {canonical_code(b).hex() for b in windows}
         canonized = []
@@ -334,7 +339,7 @@ class TestDriverLoop:
     def test_budget_warning_for_a_window_met_again(self, monkeypatch):
         # at a budget of one raw candidate the path's windows hit the budget,
         # and the table answers the repeated ones without building them
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         monkeypatch.setattr(engine, "ENUM_BUDGET", 1)
         keys, met = record_keys(monkeypatch), []
 
@@ -448,7 +453,7 @@ class TestSpliceLoop:
     built, nothing is glued, validated again or given Graph.adj."""
 
     def test_shuffled_path(self, monkeypatch):
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         g = shuffled_family("path:200", 5)
         validated, adj_built, cut, keys = [], [], [], record_keys(monkeypatch)
         post_init, adj, induced = Graph.__post_init__, Graph.adj.func, boundaried.induced_subgraph
@@ -499,7 +504,7 @@ class TestWindowLoop:
 
     @pytest.mark.parametrize("kind,pid", RUNS)
     def test_loop_shape(self, monkeypatch, kind, pid):
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         calls = dict.fromkeys(["xr_window", "window", "validated", "split", "induced", "td", "unmet"], 0)
         xr_window, keys = engine.xr_window, record_keys(monkeypatch)
 
@@ -546,7 +551,7 @@ class TestWindowLoop:
     def test_key_lookup_matches_split_and_search(self, monkeypatch, kind, pid):
         # every window's key is the content of split(g, Y), and the table's
         # answer by key is a fresh table's find_replacement on that window
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         windows, key_of = [], engine.window_key
         monkeypatch.setattr(engine, "window_key", lambda g, y: (windows.append((g, y)), key_of(g, y))[1])
         self.run(kind, pid)
@@ -568,7 +573,7 @@ class TestWindowLoop:
             assert key == (Graph.from_edges(b.graph.n, b.graph.edges).adj_masks, b.boundary)
             looked_up.append(outcome(known_answer, spec, key, None, engine.ENUM_BUDGET, 1))
         assert windows
-        fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         for (g, y), got in zip(windows, looked_up):
             want = outcome(find_replacement, spec, split(g, y), budget=engine.ENUM_BUDGET, t=1)
             assert got == want

@@ -39,7 +39,7 @@ def one_labelled(g, v=0):
 
 def record_of(monkeypatch, tmp_path, spec, b):
     """The key and answer a fresh table records for window b at t = 2."""
-    _fresh_table(monkeypatch)
+    monkeypatch.setattr(replace, "TABLE", replace.Table())
     cache = RepCache(str(tmp_path / f"{len(list(tmp_path.iterdir()))}.tsv"))
     find_replacement(spec, b, cache=cache, t=2)
     [record] = cache.data.items()
@@ -142,7 +142,7 @@ class TestSignatureKey:
     def test_pinned_keys(self, monkeypatch, tmp_path, pid, kw, record, class_key):
         spec = get_problem(pid, **kw)
         b = self.PINNED_WINDOW
-        _fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         path = tmp_path / "reps.tsv"
         find_replacement(spec, b, cache=RepCache(str(path)), t=2)
         assert path.read_text().splitlines() == [CACHE_HEADER, record]
@@ -227,17 +227,11 @@ def _outcome(search, spec, b, budget, t):
     return (res.status, j, res.c)
 
 
-def _fresh_table(monkeypatch):
-    monkeypatch.setattr(replace, "_CURSORS", {})
-    monkeypatch.setattr(replace, "_VIEWS", {})
-    monkeypatch.setattr(replace, "_CODES", {})
-
-
 def _check_against_reference(monkeypatch, queries):
     """Each query answered through one shared table, then in reverse on a fresh one."""
     expected = [_outcome(reference_find_replacement, *q) for q in queries]
     for order in (range(len(queries)), reversed(range(len(queries)))):
-        _fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         for i in order:
             assert _outcome(find_replacement, *queries[i]) == expected[i], queries[i]
     return expected
@@ -320,7 +314,7 @@ class TestRememberedAnswers:
         ],
     )
     def test_oracle_cap_raised_again_without_a_signature(self, monkeypatch, edges):
-        _fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         monkeypatch.setattr(problems, "ORACLE_EDGE_CAP", 3)
         calls = []
 
@@ -347,13 +341,13 @@ class TestRememberedAnswers:
     def test_file_hits_are_not_remembered(self, monkeypatch, tmp_path):
         b = one_labelled(generate(parse_family("path:3")))
         path = str(tmp_path / "reps.tsv")
-        _fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         first = find_replacement(VC, b, cache=RepCache(path))
-        _fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         assert find_replacement(VC, b, cache=RepCache(path)) == first
         # answered from the file: no cursor was built and no answer kept
-        assert replace._CURSORS == {}
-        assert all(view.answers == {} for view in replace._VIEWS.values())
+        assert replace.TABLE.cursors == {}
+        assert all(view.answers == {} for view in replace.TABLE.views.values())
         assert find_replacement(VC, b) == first
 
 
@@ -366,13 +360,13 @@ class TestRepCache:
     def test_hit_round_trip(self, monkeypatch, tmp_path):
         path = tmp_path / "reps.tsv"
         b = one_labelled(generate(parse_family("path:3")))
-        _fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         first = find_replacement(VC, b, cache=RepCache(str(path)))
         assert first.status == FOUND
         written = path.read_bytes()
-        _fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         second = find_replacement(VC, b, cache=RepCache(str(path)))
-        assert second == first and replace._CURSORS == {}
+        assert second == first and replace.TABLE.cursors == {}
         assert path.read_bytes() == written
 
     def test_corrupt_tail_dropped(self, tmp_path):
@@ -509,7 +503,7 @@ class TestRepCache:
     def test_stale_entry_revalidated(self, monkeypatch, tmp_path):
         path = tmp_path / "reps.tsv"
         b = one_labelled(generate(parse_family("path:3")))
-        _fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         res = find_replacement(VC, b, cache=RepCache(str(path)))
         [(k, answer)] = RepCache(str(path)).data.items()
         assert res.status == FOUND and answer == "found 1 0 -1"
@@ -517,12 +511,12 @@ class TestRepCache:
         # class, the wrong offset, not smaller, another boundary subgraph
         for stale in ("found 2 1 0", "found 1 0 0", "found 3 3 -1", "found 1 0 1"):
             path.write_text(f"{CACHE_HEADER}\n{k}\t{stale}\n")
-            _fresh_table(monkeypatch)
+            monkeypatch.setattr(replace, "TABLE", replace.Table())
             assert find_replacement(VC, b, cache=RepCache(str(path))) == res
             assert RepCache(str(path)).data[k] == answer  # the table's answer follows
         # other answers are taken as recorded
         path.write_text(f"{CACHE_HEADER}\n{k}\tcap from the file\n")
-        _fresh_table(monkeypatch)
+        monkeypatch.setattr(replace, "TABLE", replace.Table())
         with pytest.raises(OracleCapExceeded, match="from the file"):
             find_replacement(VC, b, cache=RepCache(str(path)))
 

@@ -62,3 +62,28 @@ def test_no_unbounded_recursion():
         "parse_family", "generate", "_min_short_cycle_transversal", "_matchings", "go", "go",
         "link", "_emit_group", "_branch_and_bound",
     ])
+
+
+def test_table_is_the_only_process_state():
+    # the table of representatives is replace.TABLE; a mutable module global
+    # would be a second cache that no caller can swap or drop
+    constants = {("graph", "FAMILY_FORMS"), ("__init__", "__all__")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+            called = isinstance(value, ast.Call) and getattr(value.func, "id", None)
+            if isinstance(value, displays) or called in ("dict", "list", "set"):
+                found += [
+                    f"{path.stem}.{name.id}"
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and (path.stem, name.id) not in constants
+                ]
+    assert found == []
